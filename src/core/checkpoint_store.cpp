@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/error.h"
 #include "storage/atomic_commit.h"
@@ -193,64 +194,55 @@ std::vector<std::string> CheckpointStore::committed_keys() const {
   return visible;
 }
 
-std::vector<std::uint64_t> CheckpointStore::complete_shard_sets() const {
-  // iter -> (world, ranks seen)
-  std::map<std::uint64_t, std::pair<std::uint32_t, std::set<std::uint32_t>>> seen;
-  for (const auto& key : committed_keys()) {
-    char kind;
-    std::uint64_t a = 0, b = 0;
-    if (!parse_key(key, kind, a, b) || kind != 's') continue;
-    const auto world = static_cast<std::uint32_t>(b >> 32);
-    const auto rank = static_cast<std::uint32_t>(b & 0xFFFFFFFFu);
-    auto& entry = seen[a];
-    entry.first = world;
-    entry.second.insert(rank);
-  }
-  std::vector<std::uint64_t> complete;
-  for (const auto& [iter, entry] : seen) {
-    if (entry.first > 0 && entry.second.size() == entry.first) {
-      complete.push_back(iter);
-    }
-  }
-  return complete;  // std::map iteration => ascending
-}
-
-std::optional<std::uint64_t> CheckpointStore::latest_full() const {
-  const auto all = fulls();
-  if (all.empty()) return std::nullopt;
-  return all.back();
-}
-
-std::vector<std::uint64_t> CheckpointStore::fulls() const {
-  std::vector<std::uint64_t> result;
-  for (const auto& key : committed_keys()) {
-    char kind;
-    std::uint64_t a = 0, b = 0;
-    if (parse_key(key, kind, a, b) && kind == 'f') result.push_back(a);
-  }
-  for (std::uint64_t iter : complete_shard_sets()) result.push_back(iter);
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
-}
-
-std::vector<std::uint64_t> CheckpointStore::diffs_after(std::uint64_t iter) const {
-  std::vector<std::uint64_t> result;
+CheckpointStore::Manifest CheckpointStore::manifest() const {
+  Manifest manifest;
+  // Sharded fulls: iter -> (world, ranks committed).
+  std::map<std::uint64_t, std::pair<std::uint32_t, std::set<std::uint32_t>>> shards;
   for (const auto& key : committed_keys()) {
     char kind;
     std::uint64_t a = 0, b = 0;
     if (!parse_key(key, kind, a, b)) continue;
-    if (kind == 'd' && a > iter) {
-      result.push_back(a);
-    } else if (kind == 'b' && b > iter) {
-      for (std::uint64_t i = std::max(a, iter + 1); i <= b; ++i) {
-        result.push_back(i);
-      }
+    if (kind == 'f') {
+      manifest.fulls.push_back(a);
+    } else if (kind == 'd') {
+      manifest.diffs.push_back({a, a, key});
+    } else if (kind == 'b') {
+      manifest.diffs.push_back({a, b, key});
+    } else {
+      auto& [world, ranks] = shards[a];
+      world = static_cast<std::uint32_t>(b >> 32);
+      ranks.insert(static_cast<std::uint32_t>(b & 0xFFFFFFFFu));
     }
   }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
+  for (const auto& [iter, set] : shards) {
+    if (set.first > 0 && set.second.size() == set.first) {
+      manifest.fulls.push_back(iter);
+    }
+  }
+  auto& fulls = manifest.fulls;
+  std::sort(fulls.begin(), fulls.end());
+  fulls.erase(std::unique(fulls.begin(), fulls.end()), fulls.end());
+  std::sort(manifest.diffs.begin(), manifest.diffs.end(),
+            [](const DiffRecord& x, const DiffRecord& y) {
+              return std::tie(x.first, x.last) < std::tie(y.first, y.last);
+            });
+  return manifest;
+}
+
+std::optional<std::uint64_t> CheckpointStore::latest_full() const {
+  const auto fulls = manifest().fulls;
+  if (fulls.empty()) return std::nullopt;
+  return fulls.back();
+}
+
+std::vector<std::uint64_t> CheckpointStore::diffs_after(std::uint64_t iter) const {
+  std::set<std::uint64_t> iters;
+  for (const auto& record : manifest().diffs) {
+    for (auto i = std::max(record.first, iter + 1); i <= record.last; ++i) {
+      iters.insert(i);
+    }
+  }
+  return {iters.begin(), iters.end()};
 }
 
 Result<ModelState> CheckpointStore::try_read_full(std::uint64_t iter,
@@ -339,56 +331,19 @@ ModelState CheckpointStore::read_full(std::uint64_t iter,
   return std::move(*result);
 }
 
-std::optional<CheckpointStore::BatchRef> CheckpointStore::batch_containing(
-    std::uint64_t iter) const {
-  for (const auto& key : committed_keys()) {
-    char kind;
-    std::uint64_t a = 0, b = 0;
-    if (parse_key(key, kind, a, b) && kind == 'b' && a <= iter && iter <= b) {
-      return BatchRef{a, b, key};
-    }
-  }
-  return std::nullopt;
-}
-
-Result<CompressedGrad> CheckpointStore::try_read_diff(std::uint64_t iter) const {
-  using R = Result<CompressedGrad>;
-  if (auto bytes = read_committed(diff_key(iter)); bytes.ok()) {
-    try {
-      return deserialize_diff(*bytes);
-    } catch (const Error& e) {
-      return R(ErrorCode::kCorrupted,
-               diff_key(iter) + " undecodable: " + e.what());
-    }
-  } else if (bytes.status().code() != ErrorCode::kNotFound) {
-    return R(bytes.status());
-  }
-
-  const auto ref = batch_containing(iter);
-  if (!ref.has_value()) {
-    return R(ErrorCode::kNotFound,
-             "missing differential checkpoint for iteration " +
-                 std::to_string(iter));
-  }
-  auto bytes = read_committed(ref->key);
+Result<std::vector<CompressedGrad>> CheckpointStore::try_read_diffs(
+    const DiffRecord& record) const {
+  using R = Result<std::vector<CompressedGrad>>;
+  auto bytes = read_committed(record.key);
   if (!bytes.ok()) return R(bytes.status());
   try {
-    const BatchedGrad batch = deserialize_batch(*bytes);
-    for (const auto& member : batch.members) {
-      if (member.iteration == iter) return member;
+    if (record.key.starts_with("batch/")) {
+      return std::move(deserialize_batch(*bytes).members);
     }
-    return R(ErrorCode::kCorrupted, "batch " + ref->key +
-                                        " does not contain iteration " +
-                                        std::to_string(iter));
+    return std::vector<CompressedGrad>{deserialize_diff(*bytes)};
   } catch (const Error& e) {
-    return R(ErrorCode::kCorrupted, ref->key + " undecodable: " + e.what());
+    return R(ErrorCode::kCorrupted, record.key + " undecodable: " + e.what());
   }
-}
-
-CompressedGrad CheckpointStore::read_diff(std::uint64_t iter) const {
-  auto result = try_read_diff(iter);
-  result.status().check();
-  return std::move(*result);
 }
 
 void CheckpointStore::prune_before(std::uint64_t iter) {

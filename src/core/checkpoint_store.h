@@ -3,9 +3,11 @@
 /// \file checkpoint_store.h
 /// Naming scheme and manifest over a StorageBackend for full, differential,
 /// and batched-differential checkpoints.  Keys embed zero-padded iteration
-/// numbers so a lexicographic listing is a chronological manifest — the
-/// recovery process scans it to find the latest full checkpoint and every
-/// differential after it (Eq. 2).
+/// numbers so a lexicographic listing is a chronological manifest.
+/// Recovery (Eq. 2) scans it once — manifest() is one list() — and then
+/// reads each committed record it needs once: the base full through
+/// try_read_full(), each differential record after it through
+/// try_read_diffs(), which decodes a `diff/` or `batch/` record whole.
 ///
 /// All writes follow the atomic commit protocol (atomic_commit.h): a data
 /// object is only part of the manifest once its commit marker exists, and
@@ -72,34 +74,47 @@ class CheckpointStore {
 
   // --- manifest -----------------------------------------------------------
 
+  /// One committed differential record: `diff/<first>` (first == last) or
+  /// `batch/<first>_<last>`.
+  struct DiffRecord {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    std::string key;
+
+    bool operator==(const DiffRecord&) const = default;
+  };
+
+  /// What one list() shows as committed.
+  struct Manifest {
+    /// Every committed full checkpoint — monolithic ones and complete shard
+    /// sets (every rank's shard committed) — ascending.  Recovery walks it
+    /// backwards when the latest full turns out to be corrupt.
+    std::vector<std::uint64_t> fulls;
+    /// Every committed differential record, ascending by (first, last).
+    std::vector<DiffRecord> diffs;
+  };
+
+  /// Scans the backend once.
+  Manifest manifest() const;
+
   /// Iteration of the most recent committed full checkpoint, if any.
   std::optional<std::uint64_t> latest_full() const;
 
-  /// Iterations of every committed full checkpoint (monolithic and complete
-  /// shard sets), ascending — recovery walks this backwards when the latest
-  /// full turns out to be corrupt.
-  std::vector<std::uint64_t> fulls() const;
-
-  /// Iterations of all committed differential checkpoints (batch members
-  /// expanded) strictly after `iter`, ascending.
+  /// Iterations held by committed differential records strictly after
+  /// `iter`, ascending.
   std::vector<std::uint64_t> diffs_after(std::uint64_t iter) const;
-
-  /// Iterations whose sharded full checkpoints are complete (every rank's
-  /// shard committed), ascending.  Incomplete sets are invisible to
-  /// latest_full().
-  std::vector<std::uint64_t> complete_shard_sets() const;
 
   // --- reads --------------------------------------------------------------
 
-  /// Throwing reads (programming-error style) for callers that have already
+  /// Throwing read (programming-error style) for callers that have already
   /// validated existence via the manifest.
   ModelState read_full(std::uint64_t iter, const ModelSpec& spec) const;
-  CompressedGrad read_diff(std::uint64_t iter) const;
 
   /// Non-throwing reads: kNotFound when absent/uncommitted, kCorrupted on
   /// CRC/length mismatch or undecodable payload.
   Result<ModelState> try_read_full(std::uint64_t iter, const ModelSpec& spec) const;
-  Result<CompressedGrad> try_read_diff(std::uint64_t iter) const;
+  /// Reads and decodes `record` once; its payloads in stored order.
+  Result<std::vector<CompressedGrad>> try_read_diffs(const DiffRecord& record) const;
 
   // --- maintenance ---------------------------------------------------------
 
@@ -123,12 +138,6 @@ class CheckpointStore {
   }
 
  private:
-  struct BatchRef {
-    std::uint64_t first = 0;
-    std::uint64_t last = 0;
-    std::string key;
-  };
-
   /// Parses a manifest key; returns false for unrelated keys.
   static bool parse_key(const std::string& key, char& kind, std::uint64_t& a,
                         std::uint64_t& b);
@@ -139,8 +148,6 @@ class CheckpointStore {
   Status write_committed(const std::string& key,
                          std::span<const std::byte> bytes) const;
   Result<std::vector<std::byte>> read_committed(const std::string& key) const;
-
-  std::optional<BatchRef> batch_containing(std::uint64_t iter) const;
 
   std::shared_ptr<StorageBackend> backend_;
   RetryPolicy retry_;

@@ -1,6 +1,7 @@
 #include "core/recovery.h"
 
-#include <cmath>
+#include <algorithm>
+#include <future>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -8,7 +9,6 @@
 #include "compress/merge.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 
 namespace lowdiff {
 
@@ -55,6 +55,54 @@ struct ReadAccounting {
   StorageStats before_;
 };
 
+/// One differential record's read + decode, timed.
+struct LoadedRecord {
+  Result<std::vector<CompressedGrad>> payloads;
+  double seconds;
+};
+
+/// Loads the newest valid full of `fulls` (ascending), degrading to older
+/// ones when newer ones are corrupt.  Throws when none is valid.
+ModelState load_base(const CheckpointStore& store,
+                     const std::vector<std::uint64_t>& fulls,
+                     const ModelSpec& spec, std::uint64_t& base,
+                     std::uint64_t& corrupt) {
+  LOWDIFF_TRACE_SPAN("recovery.load_base", "recovery");
+  LOWDIFF_ENSURE(!fulls.empty(), "no full checkpoint to recover from");
+  for (auto it = fulls.rbegin(); it != fulls.rend(); ++it) {
+    auto result = store.try_read_full(*it, spec);
+    if (result.ok()) {
+      base = *it;
+      return std::move(*result);
+    }
+    LOWDIFF_LOG_ERROR("full checkpoint at iteration ", *it,
+                      " unusable: ", result.status().to_string());
+    ++corrupt;
+  }
+  throw Error("every full checkpoint is corrupt; cannot recover",
+              std::source_location::current());
+}
+
+/// Record reads submitted to a pool ahead of the replay.  Waits for any
+/// still in flight on destruction, so no task outlives the store it reads
+/// when the replay throws.
+struct ReadsAhead {
+  std::vector<std::future<LoadedRecord>> futures;
+
+  ~ReadsAhead() {
+    for (auto& f : futures) {
+      if (f.valid()) f.wait();
+    }
+  }
+};
+
+LoadedRecord load_record(const CheckpointStore& store,
+                         const CheckpointStore::DiffRecord& record) {
+  Stopwatch sw;
+  auto payloads = store.try_read_diffs(record);
+  return {std::move(payloads), sw.elapsed_sec()};
+}
+
 }  // namespace
 
 RecoveryEngine::RecoveryEngine(ModelSpec spec,
@@ -66,201 +114,107 @@ RecoveryEngine::RecoveryEngine(ModelSpec spec,
   LOWDIFF_ENSURE(compressor_ != nullptr, "null compressor");
 }
 
-ModelState RecoveryEngine::load_base(const CheckpointStore& store,
-                                     std::uint64_t& full_iter,
-                                     RecoveryReport* report) const {
-  LOWDIFF_TRACE_SPAN("recovery.load_base", "recovery");
-  const auto fulls = store.fulls();
-  LOWDIFF_ENSURE(!fulls.empty(), "no full checkpoint to recover from");
-  // Newest first; degrade to older fulls when the newer ones are corrupt.
-  for (auto it = fulls.rbegin(); it != fulls.rend(); ++it) {
-    auto result = store.try_read_full(*it, spec_);
-    if (result.ok()) {
-      full_iter = *it;
-      return std::move(*result);
-    }
-    LOWDIFF_LOG_ERROR("full checkpoint at iteration ", *it,
-                      " unusable: ", result.status().to_string());
-    if (report != nullptr) ++report->corrupt_fulls_skipped;
-  }
-  throw Error("every full checkpoint is corrupt; cannot recover",
-              std::source_location::current());
-}
-
-ModelState RecoveryEngine::recover_serial(const CheckpointStore& store,
-                                          RecoveryReport* report) const {
+ModelState RecoveryEngine::walk(const CheckpointStore& store, ThreadPool* pool,
+                                std::vector<CompressedGrad>* chain,
+                                RecoveryReport* report) const {
   const std::uint64_t retries_before = store.retry_count();
   ReadAccounting acct(store);
-  std::uint64_t full_iter = 0;
-  Stopwatch base_sw;
-  ModelState state = load_base(store, full_iter, report);
-  acct.seconds += base_sw.elapsed_sec();
-  acct.reads += 1 + (report != nullptr ? report->corrupt_fulls_skipped : 0);
+  auto manifest = store.manifest();
 
-  const auto diffs = store.diffs_after(full_iter);
+  std::uint64_t base = 0, corrupt_fulls = 0;
+  Stopwatch base_sw;
+  ModelState state = load_base(store, manifest.fulls, spec_, base, corrupt_fulls);
+  acct.seconds += base_sw.elapsed_sec();
+  acct.reads += 1 + corrupt_fulls;
+
+  // Every record holding an iteration after the base, read once — ahead on
+  // the pool when there is one.
+  auto& records = manifest.diffs;
+  std::erase_if(records, [base](const auto& r) { return r.last <= base; });
+  ReadsAhead ahead;
+  if (pool != nullptr) {
+    ahead.futures.reserve(records.size());
+    for (const auto& record : records) {
+      ahead.futures.push_back(pool->submit(
+          [&store, record] { return load_record(store, record); }));
+    }
+  }
+
+  // Replay the contiguous chain base+1, base+2, ...  The first unreadable
+  // record or missing iteration ends it; later records are still read so
+  // every corrupt one is counted.
   LOWDIFF_TRACE_SPAN("recovery.replay", "recovery");
   Tensor dense(spec_.param_count());
-  std::uint64_t applied_until = full_iter;
-  std::uint64_t applied = 0, corrupt = 0;
-  bool truncated = false;
-  for (std::uint64_t iter : diffs) {
-    Stopwatch read_sw;
-    auto payload = store.try_read_diff(iter);
-    acct.seconds += read_sw.elapsed_sec();
+  std::uint64_t next = base + 1, corrupt = 0;
+  bool ended = false;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& record = records[i];
+    LoadedRecord loaded =
+        pool != nullptr ? ahead.futures[i].get() : load_record(store, record);
+    acct.seconds += loaded.seconds;
     ++acct.reads;
-    if (!payload.ok()) {
-      // Replay must be a contiguous prefix, so the first bad differential
-      // ends it — but keep scanning so every corrupt record is reported.
-      LOWDIFF_LOG_ERROR("differential at iteration ", iter,
-                        " unusable: ", payload.status().to_string());
-      ++corrupt;
-      truncated = true;
+    if (!loaded.payloads.ok()) {
+      LOWDIFF_LOG_ERROR("differential record ", record.key,
+                        " unusable: ", loaded.payloads.status().to_string());
+      corrupt += record.last - std::max(record.first, base + 1) + 1;
+      ended = true;
       continue;
     }
-    if (truncated) continue;
-    compressor_->decompress(*payload, dense.span());
-    optimizer_->step(state, dense.cspan());
-    applied_until = iter;
-    ++applied;
+    if (ended) continue;
+    for (auto& payload : *loaded.payloads) {
+      if (payload.iteration < next) continue;  // straddles the base, or held twice
+      if (payload.iteration != next) {
+        LOWDIFF_LOG_ERROR("no committed differential for iteration ", next,
+                          "; replay ends at iteration ", next - 1);
+        ended = true;
+        break;
+      }
+      if (chain != nullptr) {
+        chain->push_back(std::move(payload));
+      } else {
+        compressor_->decompress(payload, dense.span());
+        optimizer_->step(state, dense.cspan());
+      }
+      ++next;
+    }
   }
+
+  const std::uint64_t applied = next - base - 1;
   const RecoveryObs robs = RecoveryObs::resolve();
   robs.diffs_replayed_total.add(applied);
   robs.corrupt_diffs_total.add(corrupt);
   if (report != nullptr) {
-    report->full_iteration = full_iter;
+    report->full_iteration = base;
     report->diffs_replayed = applied;
-    report->final_iteration = applied_until;
+    report->final_iteration = next - 1;
     report->merge_rounds = 0;
     report->corrupt_diffs_skipped = corrupt;
+    report->corrupt_fulls_skipped += corrupt_fulls;
     report->retries += store.retry_count() - retries_before;
   }
   acct.finish(report);
   return state;
+}
+
+ModelState RecoveryEngine::recover_serial(const CheckpointStore& store,
+                                          RecoveryReport* report) const {
+  return walk(store, nullptr, nullptr, report);
 }
 
 ModelState RecoveryEngine::recover_parallel(const CheckpointStore& store,
                                             ThreadPool& pool,
                                             RecoveryReport* report) const {
-  const std::uint64_t retries_before = store.retry_count();
-  ReadAccounting acct(store);
-  std::uint64_t full_iter = 0;
-  Stopwatch base_sw;
-  ModelState state = load_base(store, full_iter, report);
-  acct.seconds += base_sw.elapsed_sec();
-  acct.reads += 1 + (report != nullptr ? report->corrupt_fulls_skipped : 0);
-
-  const auto diffs = store.diffs_after(full_iter);
-
-  // Read + decompress every differential concurrently — the I/O-parallel
-  // half of the Fig. 7 scheme.
-  struct Loaded {
-    Result<Tensor> dense;
-    double seconds;
-  };
-  std::vector<std::future<Loaded>> dense_futures;
-  dense_futures.reserve(diffs.size());
-  for (std::uint64_t iter : diffs) {
-    dense_futures.push_back(pool.submit([this, &store, iter]() -> Loaded {
-      Stopwatch read_sw;
-      auto payload = store.try_read_diff(iter);
-      if (!payload.ok()) {
-        return {Result<Tensor>(payload.status()), read_sw.elapsed_sec()};
-      }
-      Tensor dense(spec_.param_count());
-      compressor_->decompress(*payload, dense.span());
-      return {Result<Tensor>(std::move(dense)), read_sw.elapsed_sec()};
-    }));
-  }
-
-  // Ordered replay: Adam's moment updates do not commute, so exactness
-  // requires applying gradients in iteration order.
-  LOWDIFF_TRACE_SPAN("recovery.replay", "recovery");
-  std::uint64_t applied_until = full_iter;
-  std::uint64_t applied = 0, corrupt = 0;
-  bool truncated = false;
-  for (std::size_t i = 0; i < dense_futures.size(); ++i) {
-    auto loaded = dense_futures[i].get();
-    acct.seconds += loaded.seconds;
-    ++acct.reads;
-    if (!loaded.dense.ok()) {
-      LOWDIFF_LOG_ERROR("differential at iteration ", diffs[i],
-                        " unusable: ", loaded.dense.status().to_string());
-      ++corrupt;
-      truncated = true;
-      continue;
-    }
-    if (truncated) continue;
-    optimizer_->step(state, loaded.dense->cspan());
-    applied_until = diffs[i];
-    ++applied;
-  }
-  const RecoveryObs robs = RecoveryObs::resolve();
-  robs.diffs_replayed_total.add(applied);
-  robs.corrupt_diffs_total.add(corrupt);
-  if (report != nullptr) {
-    report->full_iteration = full_iter;
-    report->diffs_replayed = applied;
-    report->final_iteration = applied_until;
-    report->merge_rounds = 0;
-    report->corrupt_diffs_skipped = corrupt;
-    report->retries += store.retry_count() - retries_before;
-  }
-  acct.finish(report);
-  return state;
+  return walk(store, &pool, nullptr, report);
 }
 
 ModelState RecoveryEngine::recover_parallel_additive(const CheckpointStore& store,
                                                      ThreadPool& pool, float lr,
                                                      RecoveryReport* report) const {
-  const std::uint64_t retries_before = store.retry_count();
-  ReadAccounting acct(store);
-  std::uint64_t full_iter = 0;
-  Stopwatch base_sw;
-  ModelState state = load_base(store, full_iter, report);
-  acct.seconds += base_sw.elapsed_sec();
-  acct.reads += 1 + (report != nullptr ? report->corrupt_fulls_skipped : 0);
-
-  const auto diff_iters = store.diffs_after(full_iter);
-
-  // Round 0: parallel load of every differential payload.
-  obs::TraceSpan load_span(obs::Tracer::global(), "recovery.load", "recovery");
-  struct LoadedGrad {
-    Result<CompressedGrad> payload;
-    double seconds;
-  };
-  std::vector<std::future<LoadedGrad>> loads;
-  loads.reserve(diff_iters.size());
-  for (std::uint64_t iter : diff_iters) {
-    loads.push_back(pool.submit([&store, iter]() -> LoadedGrad {
-      Stopwatch read_sw;
-      auto payload = store.try_read_diff(iter);
-      return {std::move(payload), read_sw.elapsed_sec()};
-    }));
-  }
-  // Usable prefix: corruption at position k truncates the replay there
-  // (even additively, applying post-gap updates would yield a state that
-  // never existed during training).
+  // The same chain serial replay would apply: even additively, updates past
+  // its end would yield a state that never existed during training.
   std::vector<CompressedGrad> payloads;
-  payloads.reserve(loads.size());
-  std::uint64_t corrupt = 0;
-  bool truncated = false;
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    auto loaded = loads[i].get();
-    acct.seconds += loaded.seconds;
-    ++acct.reads;
-    if (!loaded.payload.ok()) {
-      LOWDIFF_LOG_ERROR("differential at iteration ", diff_iters[i],
-                        " unusable: ", loaded.payload.status().to_string());
-      ++corrupt;
-      truncated = true;
-      continue;
-    }
-    if (!truncated) payloads.push_back(std::move(*loaded.payload));
-  }
+  ModelState state = walk(store, &pool, &payloads, report);
   const std::uint64_t applied = payloads.size();
-  const std::uint64_t applied_until =
-      applied == 0 ? full_iter : diff_iters[applied - 1];
-  load_span.finish();
 
   // Pairwise merge rounds (Fig. 7): gradients of a state-free optimizer
   // compose additively, so summing sparse payloads preserves the result.
@@ -293,19 +247,8 @@ ModelState RecoveryEngine::recover_parallel_additive(const CheckpointStore& stor
     }
     state.set_step(state.step() + applied);
   }
-  const RecoveryObs robs = RecoveryObs::resolve();
-  robs.diffs_replayed_total.add(applied);
-  robs.corrupt_diffs_total.add(corrupt);
-  robs.merge_rounds_total.add(rounds);
-  if (report != nullptr) {
-    report->full_iteration = full_iter;
-    report->diffs_replayed = applied;
-    report->final_iteration = applied_until;
-    report->merge_rounds = rounds;
-    report->corrupt_diffs_skipped = corrupt;
-    report->retries += store.retry_count() - retries_before;
-  }
-  acct.finish(report);
+  RecoveryObs::resolve().merge_rounds_total.add(rounds);
+  if (report != nullptr) report->merge_rounds = rounds;
   return state;
 }
 

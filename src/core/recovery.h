@@ -9,23 +9,29 @@
 /// which reproduces the training-time state transitions *bit-exactly*,
 /// because training applied the very same synchronized payloads (Finding 1).
 ///
-/// Parallel recovery overlaps the expensive part — reading and unpacking
-/// differentials from storage — across a thread pool, and for *state-free*
-/// optimizers (plain SGD, whose per-iteration deltas compose additively)
-/// also merges differentials pairwise in ⌈log₂ n⌉ rounds before a single
-/// apply.  For stateful optimizers (Adam) the replay itself stays ordered,
-/// which is required for exactness; the tests pin both equivalences.
+/// All three entry points share one walk: one manifest scan
+/// (CheckpointStore::manifest), the base loaded from its fulls, then every
+/// committed differential record after the base read once, and its payloads
+/// handed to the replay in iteration order.  recover_serial reads inline;
+/// recover_parallel runs the reads ahead on a thread pool while the replay
+/// thread decompresses and steps the optimizer in order (Adam's updates do
+/// not commute); recover_parallel_additive collects the chain and, for a
+/// *state-free* optimizer (plain SGD, whose per-iteration deltas compose
+/// additively), merges it pairwise in ⌈log₂ n⌉ rounds before one apply.
 ///
-/// Corruption awareness: every read is CRC-validated against the commit
-/// manifest.  A corrupt full checkpoint causes fallback to the next older
-/// valid full; a corrupt differential truncates the replay at that point
-/// (replay must be a contiguous prefix for bit-exactness) while the
-/// remaining differentials are still scanned so the report counts every
-/// corrupt record.  Recovery throws only when no valid full exists at all.
+/// The chain must be contiguous: replay starts at the iteration after the
+/// base and ends at the first iteration no readable record holds — a
+/// record that fails its CRC/decode, or one that never committed (a hole
+/// left by a failed write).  Payloads at or before the last replayed
+/// iteration (a batch straddling the base, an iteration held twice) are
+/// skipped.  The records after the end are still read so the report counts
+/// every corrupt one.  A corrupt full checkpoint causes fallback to the
+/// next older valid full; recovery throws only when no valid full exists.
 
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "compress/compressor.h"
@@ -48,10 +54,11 @@ struct ReadSourceTotals {
 
 struct RecoveryReport {
   std::uint64_t full_iteration = 0;   ///< iteration of the loaded full ckpt
-  std::uint64_t final_iteration = 0;  ///< iteration after replay
+  std::uint64_t final_iteration = 0;  ///< last iteration of the replayed chain
   std::uint64_t diffs_replayed = 0;
   std::uint64_t merge_rounds = 0;     ///< parallel pairwise merge rounds
-  std::uint64_t corrupt_diffs_skipped = 0;  ///< CRC/decoding failures seen
+  /// Iterations after the base held by records that failed CRC/decoding.
+  std::uint64_t corrupt_diffs_skipped = 0;
   std::uint64_t corrupt_fulls_skipped = 0;  ///< fulls rejected before base
   std::uint64_t retries = 0;  ///< storage retries during recovery reads
   std::uint64_t bytes_read = 0;  ///< bytes fetched from the store's backend
@@ -71,8 +78,8 @@ class RecoveryEngine {
   ModelState recover_serial(const CheckpointStore& store,
                             RecoveryReport* report = nullptr) const;
 
-  /// Parallel recovery: loads + decompresses every differential on `pool`
-  /// concurrently, then replays in order.  Bit-identical to
+  /// Parallel recovery: reads every differential record on `pool` ahead of
+  /// the replay, which decompresses and steps in order.  Bit-identical to
   /// recover_serial() for any optimizer.
   ModelState recover_parallel(const CheckpointStore& store, ThreadPool& pool,
                               RecoveryReport* report = nullptr) const;
@@ -87,10 +94,14 @@ class RecoveryEngine {
                                        RecoveryReport* report = nullptr) const;
 
  private:
-  /// Loads the newest valid full checkpoint, falling back to older ones
-  /// when reads come back corrupt.  Throws when none is valid.
-  ModelState load_base(const CheckpointStore& store, std::uint64_t& full_iter,
-                       RecoveryReport* report) const;
+  /// The one recovery walk (see the file comment).  Record reads run on
+  /// `pool` ahead of the replay when it is given, inline otherwise.  The
+  /// chain's payloads are moved into `chain` when it is given; otherwise
+  /// each is decompressed into one scratch tensor and stepped through the
+  /// optimizer, in iteration order.
+  ModelState walk(const CheckpointStore& store, ThreadPool* pool,
+                  std::vector<CompressedGrad>* chain,
+                  RecoveryReport* report) const;
 
   ModelSpec spec_;
   std::unique_ptr<Optimizer> optimizer_;

@@ -401,8 +401,7 @@ void LowDiffStrategy::after_step(std::uint64_t iter, const ModelState& state,
     // Regular full checkpoint (Algorithm 1 line 15): snapshot on the
     // training thread, persist asynchronously.
     LOWDIFF_TRACE_SPAN("ckpt.full", "ckpt");
-    auto bytes = serialize_model_state(state, BufferPool::global(),
-                                       options_.datapath_pool);
+    auto bytes = serialize_model_state(state, BufferPool::global());
     {
       std::lock_guard lock(mutex_);
       stats_.bytes_written += bytes.size();
@@ -494,9 +493,8 @@ void LowDiffStrategy::write_batch(std::vector<CompressedGrad> members) {
             }();
   batch.members = std::move(members);
   // Pooled single-pass serialization: members serialize_into the framed
-  // record in place; the CRC chunks across the datapath pool when present.
-  auto bytes =
-      serialize_batch(batch, BufferPool::global(), options_.datapath_pool);
+  // record in place.
+  auto bytes = serialize_batch(batch, BufferPool::global());
   obs_.batched_write_total.add(1);
   obs_.bytes_total.add(bytes.size());
   {

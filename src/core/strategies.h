@@ -210,10 +210,6 @@ class LowDiffStrategy final : public CheckpointStrategy {
     bool prune_on_full = false;
     /// Optional PCIe model for offloads (null = instantaneous).
     std::shared_ptr<Throttler> pcie;
-    /// Optional worker pool for the checkpoint datapath (chunk-parallel CRC
-    /// over batched records).  Must outlive the strategy.  Null keeps every
-    /// datapath stage serial; the bytes produced are identical either way.
-    ThreadPool* datapath_pool = nullptr;
   };
 
   LowDiffStrategy(std::shared_ptr<CheckpointStore> store, Options options);

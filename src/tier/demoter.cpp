@@ -77,8 +77,7 @@ Demoter::Pass Demoter::run_once() {
     }
 
     // The manifest view over this tier alone: committed fulls, ascending.
-    CheckpointStore view(tier.backend);
-    auto fulls = view.fulls();
+    const auto fulls = CheckpointStore(tier.backend).manifest().fulls;
     std::size_t next = 0;
     while (tier.base->resident_bytes() > options_.peer_capacity_bytes &&
            next < fulls.size()) {

@@ -64,6 +64,13 @@ TEST_F(StoreTest, DiffsAfterCollectsStandaloneAndBatched) {
   for (std::uint64_t i = 7; i <= 9; ++i) batch.members.push_back(make_diff(i));
   store_.put_batch(batch);
 
+  // One record each, in iteration order (`batch/` sorts before `diff/` as
+  // a key, not as a record).
+  using Record = CheckpointStore::DiffRecord;
+  EXPECT_EQ(store_.manifest().diffs,
+            (std::vector<Record>{{5, 5, CheckpointStore::diff_key(5)},
+                                 {6, 6, CheckpointStore::diff_key(6)},
+                                 {7, 9, CheckpointStore::batch_key(7, 9)}}));
   EXPECT_EQ(store_.diffs_after(4),
             (std::vector<std::uint64_t>{5, 6, 7, 8, 9}));
   EXPECT_EQ(store_.diffs_after(6), (std::vector<std::uint64_t>{7, 8, 9}));
@@ -80,9 +87,14 @@ TEST_F(StoreTest, ReadDiffFromStandaloneAndBatch) {
   batch.members = {make_diff(6), make_diff(7)};
   store_.put_batch(batch);
 
-  EXPECT_EQ(store_.read_diff(5), d5);
-  EXPECT_EQ(store_.read_diff(7), batch.members[1]);
-  EXPECT_THROW(store_.read_diff(8), Error);
+  const auto records = store_.manifest().diffs;
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(*store_.try_read_diffs(records[0]), std::vector<CompressedGrad>{d5});
+  EXPECT_EQ(*store_.try_read_diffs(records[1]), batch.members);
+  EXPECT_EQ(store_.try_read_diffs({8, 8, CheckpointStore::diff_key(8)})
+                .status()
+                .code(),
+            ErrorCode::kNotFound);
 }
 
 TEST_F(StoreTest, PruneRemovesObsolete) {
@@ -148,11 +160,10 @@ TEST_F(StoreTest, IncompleteShardSetIsInvisible) {
   store_.put_full_shard(10, 0, 3, state);
   store_.put_full_shard(10, 2, 3, state);
   EXPECT_EQ(store_.latest_full(), 3u);  // torn save never becomes "latest"
-  EXPECT_TRUE(store_.complete_shard_sets().empty());
+  EXPECT_EQ(store_.manifest().fulls, (std::vector<std::uint64_t>{3}));
   store_.put_full_shard(10, 1, 3, state);
   EXPECT_EQ(store_.latest_full(), 10u);
-  EXPECT_EQ(store_.complete_shard_sets(),
-            (std::vector<std::uint64_t>{10}));
+  EXPECT_EQ(store_.manifest().fulls, (std::vector<std::uint64_t>{3, 10}));
 }
 
 TEST_F(StoreTest, ShardedUnbalancedWorldSizes) {
@@ -175,7 +186,7 @@ TEST_F(StoreTest, PruneRemovesOldShards) {
   for (std::uint32_t r = 0; r < 2; ++r) store_.put_full_shard(5, r, 2, state);
   store_.put_full(9, state);
   store_.prune_before(9);
-  EXPECT_TRUE(store_.complete_shard_sets().empty());
+  EXPECT_EQ(store_.manifest().fulls, (std::vector<std::uint64_t>{9}));
   EXPECT_EQ(store_.latest_full(), 9u);
 }
 
@@ -194,6 +205,7 @@ TEST_F(StoreTest, ShardedRecoveryWithDiffs) {
 TEST_F(StoreTest, IgnoresForeignKeys) {
   mem_->write("unrelated/key", std::vector<std::byte>(4));
   EXPECT_FALSE(store_.latest_full().has_value());
+  EXPECT_TRUE(store_.manifest().diffs.empty());
   EXPECT_TRUE(store_.diffs_after(0).empty());
 }
 

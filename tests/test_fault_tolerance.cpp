@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -91,7 +92,7 @@ void run_crash_harness(const TrainerConfig& cfg,
     // Fresh "process": recover whatever is durable and finish the job.
     Trainer resumed(mlp(), cfg);
     std::uint64_t position = 0;
-    if (!store->fulls().empty()) {
+    if (store->latest_full().has_value()) {
       RecoveryEngine engine(resumed.spec(), resumed.make_optimizer(),
                             TopKCompressor(kRho).clone());
       RecoveryReport report;
@@ -218,7 +219,7 @@ TEST(FaultTolerance, InjectedBitFlipsAllDetectedAndDegraded) {
 
     // Ground truth from the manifest: the newest full a scan finds intact.
     expected_bad_fulls = 0;
-    const auto fulls = store->fulls();
+    const auto fulls = store->manifest().fulls;
     for (auto it = fulls.rbegin(); it != fulls.rend(); ++it) {
       if (store->try_read_full(*it, trainer->spec()).ok()) {
         base = *it;
@@ -231,10 +232,12 @@ TEST(FaultTolerance, InjectedBitFlipsAllDetectedAndDegraded) {
       << kMaxRolls << " fault seeds in a row produced no assertable universe";
 
   // Recovery must report exactly the corrupt records a manifest scan finds
-  // — no more, no fewer.
+  // — no more, no fewer — counted per iteration after the base.
   std::uint64_t expected_bad_diffs = 0;
-  for (std::uint64_t iter : store->diffs_after(*base)) {
-    if (!store->try_read_diff(iter).ok()) ++expected_bad_diffs;
+  for (const auto& record : store->manifest().diffs) {
+    if (record.last > *base && !store->try_read_diffs(record).ok()) {
+      expected_bad_diffs += record.last - std::max(record.first, *base + 1) + 1;
+    }
   }
 
   RecoveryEngine engine(trainer->spec(), trainer->make_optimizer(),

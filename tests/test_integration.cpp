@@ -384,7 +384,7 @@ TEST(Integration, CorruptedCheckpointDegradesToLastValidFull) {
   strategy->flush();
   strategy.reset();
 
-  const auto fulls = store->fulls();
+  const auto fulls = store->manifest().fulls;
   ASSERT_GE(fulls.size(), 2u) << "test needs an older full to fall back to";
 
   // Flip a bit in the latest full checkpoint, bypassing the commit protocol

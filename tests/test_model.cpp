@@ -19,6 +19,12 @@ struct ZooCase {
   std::size_t params;
 };
 
+// Without a printer gtest dumps the struct's bytes, pointer included, into the
+// test's listed name, and ASLR makes that name differ on every run.
+void PrintTo(const ZooCase& c, std::ostream* os) {
+  *os << c.name << " (" << c.params << " params)";
+}
+
 class ZooParamCount : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ZooParamCount, MatchesPaperTable2b) {

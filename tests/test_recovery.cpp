@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "compress/dense.h"
@@ -8,8 +12,15 @@
 #include "core/recovery.h"
 #include "optim/adam.h"
 #include "optim/sgd.h"
+#include "sim/cluster.h"
+#include "storage/atomic_commit.h"
 #include "storage/mem_storage.h"
+#include "support/writer_schedule.h"
 #include "tensor/ops.h"
+#include "tier/placement.h"
+#include "tier/replicator.h"
+#include "tier/tier_recovery.h"
+#include "tier/topology.h"
 
 namespace lowdiff {
 namespace {
@@ -203,15 +214,18 @@ TEST(Recovery, BatchedDiffsReplayIdenticallyToStandalone) {
   auto mem_batched = std::make_shared<MemStorage>();
   CheckpointStore store_batched(mem_batched);
   store_batched.put_full(4, store_single.read_full(4, spec));
-  const auto diff_iters = store_single.diffs_after(4);
   BatchedGrad batch;
-  for (std::uint64_t iter : diff_iters) {
-    if (batch.members.empty()) batch.first_iteration = iter;
-    batch.members.push_back(store_single.read_diff(iter));
-    batch.last_iteration = iter;
-    if (batch.members.size() == 3) {
-      store_batched.put_batch(batch);
-      batch = BatchedGrad{};
+  for (const auto& record : store_single.manifest().diffs) {
+    auto payloads = store_single.try_read_diffs(record);
+    ASSERT_TRUE(payloads.ok());
+    for (auto& payload : *payloads) {
+      if (batch.members.empty()) batch.first_iteration = payload.iteration;
+      batch.last_iteration = payload.iteration;
+      batch.members.push_back(std::move(payload));
+      if (batch.members.size() == 3) {
+        store_batched.put_batch(batch);
+        batch = BatchedGrad{};
+      }
     }
   }
   if (!batch.members.empty()) store_batched.put_batch(batch);
@@ -240,6 +254,200 @@ TEST_P(RecoveryDiffCounts, ParallelEqualsSerialForAnyCount) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, RecoveryDiffCounts,
                          ::testing::Values(1, 2, 3, 5, 9, 17, 33));
+
+// --- LowDiff-shaped stores: batches, a straddled full, holes ----------------
+
+constexpr std::uint64_t kShapedFullAt = 10;
+constexpr std::uint64_t kShapedIters = 30;
+
+/// Trains kShapedIters iterations with gradient reuse, the way LowDiff
+/// persists them: a full checkpoint at kShapedFullAt and every iteration's
+/// payload in differential records of `per_record` iterations aligned to
+/// iteration 0 (one `diff/` record each for 1; with 3, batch/9_11 straddles
+/// the full).  Records wholly at or before the full are written too.  The
+/// record holding iteration `hole`, if given, never commits: its data
+/// lands, its marker does not — what group commit leaves when that
+/// record's write fails.  Returns the training state after each iteration.
+std::vector<ModelState> train_lowdiff_shaped(
+    CheckpointStore& store, const ModelSpec& spec, const Optimizer& opt,
+    const Compressor& comp, std::uint64_t per_record,
+    std::optional<std::uint64_t> hole = std::nullopt) {
+  ModelState state(spec);
+  state.init_random(17);
+  Tensor grad(spec.param_count());
+  Tensor dense(spec.param_count());
+  Xoshiro256 rng(29);
+  std::vector<ModelState> states;
+  BatchedGrad batch;
+  for (std::uint64_t t = 0; t < kShapedIters; ++t) {
+    ops::fill_normal(grad.span(), rng, 0.5f);
+    auto payload = comp.compress(grad.cspan(), t);
+    comp.decompress(payload, dense.span());
+    opt.step(state, dense.cspan());
+    states.push_back(state);
+    if (t == kShapedFullAt) store.put_full(t, state);
+
+    if (batch.members.empty()) batch.first_iteration = t;
+    batch.last_iteration = t;
+    batch.members.push_back(std::move(payload));
+    if (batch.members.size() < per_record) continue;
+    const std::string key =
+        per_record == 1 ? CheckpointStore::diff_key(t)
+                        : CheckpointStore::batch_key(batch.first_iteration, t);
+    EXPECT_TRUE((per_record == 1 ? store.put_diff(batch.members.front())
+                                 : store.put_batch(batch))
+                    .ok());
+    if (hole.has_value() && batch.first_iteration <= *hole && *hole <= t) {
+      store.backend().remove(commit_marker_key(key));
+    }
+    batch = BatchedGrad{};
+  }
+  return states;
+}
+
+/// A two-server replicated store, so the tier-aware engine reads the same
+/// records as the single-store engines.
+std::shared_ptr<tier::Replicator> two_server_replicas() {
+  sim::ClusterSpec cluster;
+  cluster.num_gpus = 2 * cluster.gpus_per_server;
+  tier::TierSimOptions opts;
+  opts.time_scale = 1e-7;  // link accounting without sleeping for it
+  return std::make_shared<tier::Replicator>(
+      tier::TierTopology::for_cluster(cluster, opts),
+      tier::PlacementPolicy::parse("2@local,peer"), tier::ReplicatorOptions{});
+}
+
+class MissingDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MissingDifferential, EndsTheChainAtTheHole) {
+  // Iteration 15 never committed (diff/15, or batch/15_17 with batches of
+  // 3), but later records did.  Every recovery path must stop at 14 —
+  // replaying 16..29 on top of 14 would yield a state training never had.
+  const std::uint64_t per_record = GetParam();
+  const auto spec = spec_of(240);
+  TopKCompressor comp(0.1);
+  set_log_level(LogLevel::kOff);  // recovery logs the hole
+
+  Adam adam;
+  auto replicas = two_server_replicas();
+  CheckpointStore store(replicas);
+  const auto states =
+      train_lowdiff_shaped(store, spec, adam, comp, per_record, /*hole=*/15);
+
+  RecoveryEngine engine(spec, adam.clone(), comp.clone());
+  tier::TierAwareRecoveryEngine tier_engine(spec, adam.clone(), comp.clone());
+  ThreadPool pool(3);
+  RecoveryReport serial_report, parallel_report, tier_report;
+  const ModelState recovered[] = {
+      engine.recover_serial(store, &serial_report),
+      engine.recover_parallel(store, pool, &parallel_report),
+      tier_engine.recover(replicas, &tier_report)};
+  const RecoveryReport* reports[] = {&serial_report, &parallel_report,
+                                     &tier_report};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("path " + std::to_string(i));
+    EXPECT_EQ(reports[i]->full_iteration, kShapedFullAt);
+    EXPECT_EQ(reports[i]->final_iteration, 14u);
+    EXPECT_EQ(reports[i]->diffs_replayed, 4u);
+    EXPECT_EQ(reports[i]->corrupt_diffs_skipped, 0u);
+    EXPECT_TRUE(recovered[i].bit_equal(states[14]));
+  }
+
+  // The additive path collects the same chain.
+  const SgdConfig sgd_cfg{.lr = 0.05f, .momentum = 0.0f};
+  Sgd sgd(sgd_cfg);
+  CheckpointStore sgd_store(std::make_shared<MemStorage>());
+  const auto sgd_states =
+      train_lowdiff_shaped(sgd_store, spec, sgd, comp, per_record, /*hole=*/15);
+  RecoveryEngine sgd_engine(spec, sgd.clone(), comp.clone());
+  RecoveryReport additive_report;
+  const auto additive = sgd_engine.recover_parallel_additive(
+      sgd_store, pool, sgd_cfg.lr, &additive_report);
+  EXPECT_EQ(additive_report.final_iteration, 14u);
+  EXPECT_EQ(additive_report.diffs_replayed, 4u);
+  EXPECT_EQ(additive.step(), sgd_states[14].step());
+  EXPECT_LT(ops::max_abs_diff(additive.params().cspan(),
+                              sgd_states[14].params().cspan()),
+            1e-5f);
+  set_log_level(LogLevel::kWarn);
+}
+
+INSTANTIATE_TEST_SUITE_P(RecordSizes, MissingDifferential,
+                         ::testing::Values(1, 3), [](const auto& info) {
+                           return info.param == 1 ? std::string("PerIteration")
+                                                  : std::string("BatchesOf3");
+                         });
+
+/// Counts list() and read() calls on their way to the wrapped backend.
+class CountingStorage final : public test_support::ForwardingStorage {
+ public:
+  using ForwardingStorage::ForwardingStorage;
+
+  Result<std::vector<std::byte>> read(const std::string& key) const override {
+    ++reads;
+    return inner_->read(key);
+  }
+  std::vector<std::string> list() const override {
+    ++lists;
+    return inner_->list();
+  }
+
+  mutable std::atomic<std::uint64_t> reads{0};
+  mutable std::atomic<std::uint64_t> lists{0};
+};
+
+TEST(RecoveryReads, OneScanAndEachRecordAfterTheBaseReadOnce) {
+  // Batches of 3 over iterations 0..29 with the full at 10: batch/9_11
+  // straddles the base, 0_2..6_8 lie wholly before it, and seven records
+  // (9_11 .. 27_29) hold iterations after it.
+  const auto spec = spec_of(160);
+  auto mem = std::make_shared<MemStorage>();
+  auto counting = std::make_shared<CountingStorage>(mem);
+  CheckpointStore store(counting);
+  Adam adam;
+  TopKCompressor comp(0.1);
+  const auto states = train_lowdiff_shaped(store, spec, adam, comp, 3);
+  constexpr std::uint64_t kRecordsAfterBase = 7;
+
+  RecoveryEngine engine(spec, adam.clone(), comp.clone());
+  ThreadPool pool(3);
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    counting->reads = 0;
+    counting->lists = 0;
+    RecoveryReport report;
+    const auto recovered = parallel ? engine.recover_parallel(store, pool, &report)
+                                    : engine.recover_serial(store, &report);
+    EXPECT_TRUE(recovered.bit_equal(states.back()));
+    EXPECT_EQ(report.final_iteration, kShapedIters - 1);
+    EXPECT_EQ(counting->lists.load(), 1u);
+    // Marker + data for the base, then for each record after it.
+    EXPECT_EQ(counting->reads.load(), 2 + 2 * kRecordsAfterBase);
+    EXPECT_EQ(report.read_sources.at("storage").reads, 1 + kRecordsAfterBase);
+  }
+
+  // A corrupt straddling batch counts only its iteration after the base.
+  set_log_level(LogLevel::kOff);
+  const auto key = CheckpointStore::batch_key(9, 11);
+  auto bytes = *mem->read(key);
+  bytes[bytes.size() / 2] ^= std::byte{0x20};
+  mem->write(key, bytes);
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    counting->reads = 0;
+    counting->lists = 0;
+    RecoveryReport report;
+    const auto recovered = parallel ? engine.recover_parallel(store, pool, &report)
+                                    : engine.recover_serial(store, &report);
+    EXPECT_TRUE(recovered.bit_equal(states[kShapedFullAt]));
+    EXPECT_EQ(report.final_iteration, kShapedFullAt);
+    EXPECT_EQ(report.diffs_replayed, 0u);
+    EXPECT_EQ(report.corrupt_diffs_skipped, 1u);
+    EXPECT_EQ(counting->lists.load(), 1u);
+    EXPECT_EQ(counting->reads.load(), 2 + 2 * kRecordsAfterBase);
+  }
+  set_log_level(LogLevel::kWarn);
+}
 
 }  // namespace
 }  // namespace lowdiff

@@ -418,7 +418,7 @@ TEST(Demoter, MigratesOldestFullsFromPeerMemoryToSharedStore) {
                   static_cast<unsigned long long>(t * 10));
     EXPECT_GE(replicas->committed_replicas(key), 1u) << key;
   }
-  EXPECT_EQ(store.fulls().size(), 4u);
+  EXPECT_EQ(store.manifest().fulls.size(), 4u);
 
   // A second pass over an in-budget tier is a no-op.
   const auto again = demoter.run_once();
