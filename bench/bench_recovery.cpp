@@ -76,8 +76,9 @@ int main(int argc, char** argv) {
     const std::uint64_t diffs = bench::options().smoke ? 8 : 48;
 
     // Storage with SSD-like per-object latency and bandwidth: the parallel
-    // recovery's win comes from overlapping reads + decompression, which a
-    // zero-latency in-memory store would hide.
+    // recovery's win comes from overlapping reads with the replay, which a
+    // zero-latency in-memory store would hide, and from splitting each Adam
+    // step by coordinate across the pool.
     auto make_store = [] {
       auto mem = std::make_shared<MemStorage>();
       // 20 ms per-object latency: an NFS/remote-volume-like read path.
@@ -126,7 +127,8 @@ int main(int argc, char** argv) {
       const double t_parallel = sw.elapsed_ms();
       table.row("Adam", "serial replay", bench::Table::fmt(t_serial, 1), "1.0x",
                 "yes");
-      table.row("Adam", "parallel (I/O overlap)", bench::Table::fmt(t_parallel, 1),
+      table.row("Adam", "parallel (I/O overlap + sliced replay)",
+                bench::Table::fmt(t_parallel, 1),
                 bench::Table::fmt(t_serial / t_parallel, 2) + "x",
                 serial.bit_equal(parallel) ? "yes" : "NO (BUG)");
     }

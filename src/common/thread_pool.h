@@ -5,7 +5,8 @@
 /// parallel_for.  Used for:
 ///  - the layer-wise communication / snapshot thread pools of LowDiff+
 ///    (paper §5, Algorithm 2's P_g and P_s),
-///  - the parallel recovery module's pairwise merges (paper Fig. 7),
+///  - the parallel recovery module's read-ahead, coordinate-sliced Adam
+///    replay and pairwise merges (paper Fig. 7),
 ///  - CPU-side batched gradient accumulation.
 ///
 /// RAII: the destructor drains the queue and joins all workers (CP.23).
@@ -53,8 +54,18 @@ class ThreadPool {
     return result;
   }
 
-  /// Blocks until f(i) has run for every i in [begin, end), splitting the
-  /// range into roughly equal chunks across the pool.
+  /// Runs f(i) exactly once for every i in [begin, end) and returns when
+  /// all have run.  The range is split into contiguous blocks, a few per
+  /// thread (workers + the caller), claimed from one shared cursor: the
+  /// calling thread claims blocks too, and then waits only for blocks a
+  /// worker has already claimed.  It therefore finishes even when every
+  /// worker is busy or blocked — including when called from a task running
+  /// on this pool.  Blocks run in no fixed order or thread, so f must be
+  /// safe to call concurrently for distinct i.
+  ///
+  /// If f throws, blocks not yet claimed are skipped, and the first
+  /// exception is rethrown once every claimed block has finished: no f(i)
+  /// runs after parallel_for returns.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& f);
 

@@ -103,6 +103,30 @@ LoadedRecord load_record(const CheckpointStore& store,
   return {std::move(payloads), sw.elapsed_sec()};
 }
 
+/// One replayed optimizer step.  On a pool the step is split by coordinate:
+/// the replay thread and idle workers apply slices of kReplaySlice
+/// coordinates concurrently, then the step counter advances once.
+/// step_slice over every slice followed by finish_partial_step() is
+/// bit-identical to step() (optimizer.h), so the recovered state does not
+/// depend on the pool.
+void replay_step(const Optimizer& optimizer, ModelState& state,
+                 std::span<const float> grad, ThreadPool* pool) {
+  if (pool == nullptr) {
+    optimizer.step(state, grad);
+    return;
+  }
+  LOWDIFF_ENSURE(grad.size() == state.param_count(),
+                 "replay gradient size mismatch");
+  constexpr std::size_t kReplaySlice = RecoveryEngine::kReplaySlice;
+  const std::size_t slices = (grad.size() + kReplaySlice - 1) / kReplaySlice;
+  pool->parallel_for(0, slices, [&](std::size_t s) {
+    const std::size_t lo = s * kReplaySlice;
+    optimizer.step_slice(
+        state, lo, grad.subspan(lo, std::min(kReplaySlice, grad.size() - lo)));
+  });
+  optimizer.finish_partial_step(state);
+}
+
 }  // namespace
 
 RecoveryEngine::RecoveryEngine(ModelSpec spec,
@@ -142,7 +166,8 @@ ModelState RecoveryEngine::walk(const CheckpointStore& store, ThreadPool* pool,
 
   // Replay the contiguous chain base+1, base+2, ...  The first unreadable
   // record or missing iteration ends it; later records are still read so
-  // every corrupt one is counted.
+  // every corrupt one is counted.  The reads were queued first, so they
+  // stay ahead of the replay's slices in the pool queue.
   LOWDIFF_TRACE_SPAN("recovery.replay", "recovery");
   Tensor dense(spec_.param_count());
   std::uint64_t next = base + 1, corrupt = 0;
@@ -173,7 +198,7 @@ ModelState RecoveryEngine::walk(const CheckpointStore& store, ThreadPool* pool,
         chain->push_back(std::move(payload));
       } else {
         compressor_->decompress(payload, dense.span());
-        optimizer_->step(state, dense.cspan());
+        replay_step(*optimizer_, state, dense.cspan(), pool);
       }
       ++next;
     }

@@ -566,10 +566,13 @@ LowDiffPlusStrategy::~LowDiffPlusStrategy() {
 
 void LowDiffPlusStrategy::on_layer_gradient(GradChunk chunk) {
   obs::ScopedTimerUs stall(obs_.stall_us);
-  {
-    std::lock_guard lock(replica_mutex_);
-    ++chunks_enqueued_;
-  }
+  // Counted without replica_mutex_, which the update thread holds across
+  // step_slice and the full-state serialization: taking it here stalled the
+  // training thread behind them.  An enqueue can only make flush()'s
+  // predicate (processed == enqueued) false, so flush() needs no wakeup
+  // from it and none can be lost; the count precedes the put, so the update
+  // thread never processes a chunk that is not yet counted.
+  chunks_enqueued_.fetch_add(1);
   const bool accepted =
       queue_.put(std::make_shared<const GradChunk>(std::move(chunk)));
   LOWDIFF_ENSURE(accepted, "LowDiff+ queue closed while training is active");

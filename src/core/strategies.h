@@ -11,6 +11,7 @@
 /// Time spent inside after_step() is, by construction, training stall.
 /// Background threads owned by a strategy are joined by flush()/destructor.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -301,7 +302,7 @@ class LowDiffPlusStrategy final : public CheckpointStrategy {
   std::condition_variable replica_cv_;
   ModelState replica_;
   std::uint64_t replica_iter_done_ = 0;  // iterations fully applied
-  std::uint64_t chunks_enqueued_ = 0;
+  std::atomic<std::uint64_t> chunks_enqueued_{0};  // not under the mutex
   std::uint64_t chunks_processed_ = 0;
   StrategyStats stats_;
 };

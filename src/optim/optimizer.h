@@ -27,8 +27,14 @@ class Optimizer {
   /// Applies the update to the contiguous slice [offset, offset+grad.size())
   /// of the parameter vector only.  Used by the layer-wise CPU replica
   /// update of LowDiff+ (Algorithm 2 line 12), which applies gradients per
-  /// layer as they stream in.  The step counter is NOT advanced — the caller
-  /// advances it once per iteration via finish_partial_step().
+  /// layer as they stream in, and by parallel recovery, which splits each
+  /// replayed step into coordinate slices.  The step counter is NOT
+  /// advanced — the caller advances it once per iteration via
+  /// finish_partial_step().
+  ///
+  /// A call reads and writes only its own slice of the parameters and
+  /// moments (and reads the step counter), so calls on disjoint slices of
+  /// one state may run concurrently.
   virtual void step_slice(ModelState& state, std::size_t offset,
                           std::span<const float> grad) const = 0;
 

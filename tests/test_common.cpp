@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "common/aligned_buffer.h"
 #include "common/crc32.h"
@@ -246,6 +251,76 @@ TEST(ThreadPool, ParallelForRangeSmallerThanWorkers) {
   std::vector<std::atomic<int>> hits(3);
   pool.parallel_for(0, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForFromInsideAWorkerTaskCompletes) {
+  // The only worker runs the task that calls parallel_for, so no worker is
+  // free for its blocks: the calling task must run them itself.
+  std::vector<int> hits(100, 0);
+  auto pool = std::make_unique<ThreadPool>(1);
+  auto outer = pool->submit([&pool, &hits] {
+    pool->parallel_for(0, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  });
+  if (outer.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    // A deadlocked worker cannot be joined: leak the pool so the test fails
+    // instead of hanging.
+    (void)pool.release();
+    FAIL() << "parallel_for called from the only worker deadlocked";
+  }
+  outer.get();
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, ParallelForFinishesOnTheCallerWhenEveryWorkerIsBusy) {
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<std::size_t> parked{0};
+  std::vector<std::atomic<int>> hits(64);
+  ThreadPool pool(2);
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.submit([&parked, released] {
+      ++parked;
+      released.wait();
+    });
+  }
+  while (parked.load() < pool.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto call = std::async(std::launch::async, [&pool, &hits] {
+    pool.parallel_for(0, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  });
+  // Watchdog: a parallel_for that waits on a parked worker is released
+  // after the bound instead of hanging the suite.
+  const bool finished =
+      call.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();
+  call.get();
+  EXPECT_TRUE(finished) << "parallel_for waited for a busy worker";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnlyAfterClaimedBlocksFinish) {
+  // f(0) throws while f(1) is still running on another thread: parallel_for
+  // must not return — releasing f — before f(1) has finished.
+  std::atomic<bool> slow_started{false}, slow_finished{false};
+  const std::function<void(std::size_t)> f = [&](std::size_t i) {
+    if (i == 1) {
+      slow_started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      slow_finished = true;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!slow_started && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    throw std::runtime_error("boom");
+  };
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.parallel_for(0, 2, f), std::runtime_error);
+  EXPECT_TRUE(slow_started);
+  EXPECT_TRUE(slow_finished);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {

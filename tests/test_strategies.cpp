@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "common/rng.h"
@@ -409,6 +411,75 @@ TEST(LowDiffPlus, SnapshotsThroughThePcieModel) {
   strategy.flush();
   EXPECT_GT(opt.pcie->busy_time(), 0.0);
   EXPECT_TRUE(strategy.replica_snapshot(2).bit_equal(train));
+}
+
+/// Adam whose step_slice announces that it started, then blocks until
+/// released: holds LowDiff+'s update thread inside the replica update.
+class LatchedAdam final : public Optimizer {
+ public:
+  LatchedAdam(std::atomic<bool>& entered, std::shared_future<void> release)
+      : entered_(entered), release_(std::move(release)) {}
+
+  void step(ModelState& state, std::span<const float> grad) const override {
+    adam_.step(state, grad);
+  }
+  void step_slice(ModelState& state, std::size_t offset,
+                  std::span<const float> grad) const override {
+    entered_ = true;
+    release_.wait();
+    adam_.step_slice(state, offset, grad);
+  }
+  std::string name() const override { return "LatchedAdam"; }
+  std::unique_ptr<Optimizer> clone() const override {
+    return std::make_unique<LatchedAdam>(entered_, release_);
+  }
+
+ private:
+  Adam adam_;
+  std::atomic<bool>& entered_;
+  std::shared_future<void> release_;
+};
+
+TEST(LowDiffPlus, EnqueueDoesNotWaitForTheReplicaUpdate) {
+  // The training thread's hand-off must not queue behind the update
+  // thread's step_slice (or its full-state serialization).
+  std::atomic<bool> entered{false};
+  std::promise<void> release;
+  auto store = std::make_shared<CheckpointStore>(std::make_shared<MemStorage>());
+  const auto spec = spec_of(100);
+  ModelState init(spec);
+  init.init_random(3);
+  LowDiffPlusStrategy strategy(
+      store, init,
+      std::make_unique<LatchedAdam>(entered, release.get_future().share()), {});
+
+  auto chunk = [&spec](std::size_t layer) {
+    LowDiffPlusStrategy::GradChunk c;
+    c.iteration = 0;
+    c.offset = spec.layer_offsets()[layer];
+    c.values.assign(spec.layers[layer].size(), 0.25f);
+    c.last_of_iteration = (layer == 0);
+    return c;
+  };
+  strategy.on_layer_gradient(chunk(1));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!entered && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Watchdog: an enqueue stuck behind the blocked update is released after
+  // the bound, so the test fails instead of hanging.
+  auto second = std::async(std::launch::async, [&strategy, &chunk] {
+    strategy.on_layer_gradient(chunk(0));
+  });
+  const bool returned =
+      second.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  second.get();
+  strategy.flush();
+  EXPECT_TRUE(entered) << "the update thread never reached step_slice";
+  EXPECT_TRUE(returned) << "on_layer_gradient waited for the replica update";
+  EXPECT_EQ(strategy.stats().diff_ckpts, 1u);
 }
 
 TEST(Gemini, ThrottledMemoryTierChargesNetworkTime) {
