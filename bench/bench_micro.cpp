@@ -37,6 +37,7 @@
 #include "optim/adam.h"
 #include "queue/reusing_queue.h"
 #include "storage/serializer.h"
+#include "support/merge_pairwise.h"
 #include "tensor/ops.h"
 
 namespace {

@@ -29,6 +29,7 @@
 #include "sim/scenario.h"
 #include "sim/sweep.h"
 #include "support/sim_golden.h"
+#include "support/sim_reference.h"
 
 namespace lowdiff::sim {
 namespace {

@@ -1,12 +1,14 @@
 # Script-mode runner (cmake -P): configure a sub-build of this project with
 # the requested sanitizer enabled, build one test target, and run it.
-# Registered as the `asan_crash_harness` and `tsan_queue_stress` ctest
-# entries by the top-level CMakeLists (only in non-sanitized builds, so it
-# cannot recurse).
+# Every `ctest -L sanitizer` entry runs through here, registered by
+# lowdiff_sanitized_test() in the top-level CMakeLists (only in
+# non-sanitized builds, so it cannot recurse).  Entries of one sanitizer
+# pass the same BUILD_DIR: each reconfigures the existing tree and builds
+# only what its target still lacks.
 #
 # Required -D arguments: SOURCE_DIR, BUILD_DIR, SANITIZER (address|thread|
 # undefined), TEST_TARGET.
-# Optional: GTEST_FILTER (forwarded as --gtest_filter).
+# Optional: GTEST_FILTER (forwarded as --gtest_filter; empty = all).
 
 if(NOT SOURCE_DIR OR NOT BUILD_DIR OR NOT SANITIZER OR NOT TEST_TARGET)
   message(FATAL_ERROR

@@ -49,16 +49,13 @@ struct BatchedGrad {
 /// the write path would persist when the consumer only needs the summed
 /// update (e.g. SGD deltas, which compose additively).
 ///
-/// Two implementations behind one dispatch, both bit-identical to
-/// merge_sparse_sum_pairwise (duplicate coordinates accumulate in payload
-/// order, the cascade's exact left fold): a dense scatter-accumulator,
-/// O(total + dense_size), when the batch is dense in aggregate; and a
-/// k-way heap union-sum, O(total·log B) for B payloads, for the sparse
-/// regime.  Both replace the pairwise cascade's O(total·B).
+/// Two implementations behind one dispatch, both bit-identical to the
+/// pairwise reference in tests/support/merge_pairwise.h (duplicate
+/// coordinates accumulate in payload order, the cascade's exact left
+/// fold): a dense scatter-accumulator, O(total + dense_size), when the
+/// batch is dense in aggregate; and a k-way heap union-sum, O(total·log B)
+/// for B payloads, for the sparse regime.  Both replace the pairwise
+/// cascade's O(total·B).
 CompressedGrad merge_sparse_sum(std::span<const CompressedGrad> payloads);
-
-/// Reference left-fold of two-pointer merges (the original implementation).
-/// Kept for the bit-exactness tests and the bench_micro baseline column.
-CompressedGrad merge_sparse_sum_pairwise(std::span<const CompressedGrad> payloads);
 
 }  // namespace lowdiff

@@ -79,16 +79,6 @@ class CheckpointStrategy {
   virtual StrategyStats stats() const = 0;
 };
 
-/// W/O CKPT upper bound.
-class NoCheckpointStrategy final : public CheckpointStrategy {
- public:
-  void after_step(std::uint64_t, const ModelState&,
-                  std::shared_ptr<const CompressedGrad>) override {}
-  void flush() override {}
-  std::string name() const override { return "none"; }
-  StrategyStats stats() const override { return {}; }
-};
-
 /// Synchronous full checkpointing (torch.save): blocks training for the
 /// entire serialize + write.
 class TorchSaveStrategy final : public CheckpointStrategy {

@@ -17,7 +17,7 @@
 ///               baselines), recovery engines, Eq. (3)/(5) config tuning,
 ///               and the live training engine
 ///   tier/     — tiered placement, k-way replication across failure
-///               domains, tier-aware recovery, cold-full demotion
+///               domains, tier-aware recovery, quorum repair
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -74,7 +74,6 @@
 #include "core/strategies.h"
 #include "core/trainer.h"
 
-#include "tier/demoter.h"
 #include "tier/placement.h"
 #include "tier/replicator.h"
 #include "tier/tier_recovery.h"

@@ -22,14 +22,6 @@ std::span<const float> ModelState::layer_params(std::size_t i) const {
   return params_.span().subspan(layer_offset(i), layer_size(i));
 }
 
-std::span<float> ModelState::layer_moment1(std::size_t i) {
-  return m_.span().subspan(layer_offset(i), layer_size(i));
-}
-
-std::span<float> ModelState::layer_moment2(std::size_t i) {
-  return v_.span().subspan(layer_offset(i), layer_size(i));
-}
-
 std::size_t ModelState::layer_offset(std::size_t i) const {
   LOWDIFF_ENSURE(i < spec_.layers.size(), "layer index out of range");
   return offsets_[i];

@@ -37,8 +37,6 @@ class ModelState {
   /// Parameter slice of layer `i` (forward order).
   std::span<float> layer_params(std::size_t i);
   std::span<const float> layer_params(std::size_t i) const;
-  std::span<float> layer_moment1(std::size_t i);
-  std::span<float> layer_moment2(std::size_t i);
 
   std::size_t layer_offset(std::size_t i) const;
   std::size_t layer_size(std::size_t i) const;

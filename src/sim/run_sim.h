@@ -42,20 +42,13 @@ struct FailureRunResult {
 /// Runs the job to completion under failure injection.  Deterministic for
 /// a given seed.  Since the discrete-event rewrite (DESIGN.md §11) this
 /// routes through the scenario engine's legacy path (memoized step costs,
-/// batched failure draws) and is gated bit-identical to
-/// run_with_failures_reference by bench_sim and the checked-in goldens.
+/// batched failure draws) and is gated bit-identical to the scalar
+/// reference engine (tests/support/sim_reference.h) by bench_sim and the
+/// checked-in goldens.
 FailureRunResult run_with_failures(const ClusterSpec& cluster,
                                    const Workload& workload,
                                    const StrategyConfig& strategy,
                                    const FailureRunConfig& run);
-
-/// The pre-rewrite scalar engine, kept verbatim as the bit-identity oracle
-/// for the event core's legacy path.  One failure at a time, re-evaluating
-/// the StrategyTimeline closed forms per call — do not use in sweeps.
-FailureRunResult run_with_failures_reference(const ClusterSpec& cluster,
-                                             const Workload& workload,
-                                             const StrategyConfig& strategy,
-                                             const FailureRunConfig& run);
 
 /// Closed forms shared by the reference engine and the memoized step-cost
 /// table (scenario.h) — §2.2 / §4.3 accounting.

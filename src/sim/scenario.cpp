@@ -172,8 +172,9 @@ std::vector<std::uint32_t> floyd_indices(std::uint32_t n, std::uint32_t count,
 
 /// The scalar legacy path: the reference walk with the closed forms
 /// replaced by their memoized values and the failure draws batched.  Every
-/// arithmetic expression matches run_with_failures_reference term for term
-/// — that is the bit-identity contract bench_sim gates.
+/// arithmetic expression matches run_with_failures_reference
+/// (tests/support/sim_reference.cpp) term for term — that is the
+/// bit-identity contract bench_sim gates.
 FleetRunResult run_legacy(const ScenarioConfig& scenario, const SteadyCosts& c) {
   BatchedFailureSource failures(scenario.mtbf_sec, scenario.seed,
                                 scenario.software_fraction);

@@ -19,7 +19,8 @@
 ///  - scenarios with no fleet axes enabled (`ScenarioConfig::legacy()`)
 ///    replay the historical scalar walk with memoized step costs and
 ///    batched failure draws — bit-identical to run_with_failures_reference
-///    (gated by bench_sim and the checked-in goldens);
+///    in tests/support/sim_reference.h (gated by bench_sim and the
+///    checked-in goldens);
 ///  - scenarios with any fleet axis enabled run on the event core
 ///    (event_queue.h), processing every failure process as a stream of
 ///    timed events against SoA fleet state.

@@ -87,9 +87,8 @@ struct HealthOptions {
 };
 
 /// Thread-safe registry of per-target breaker state.  Shared by the
-/// Replicator (gating writes, filtering read candidates), the Demoter
-/// (skipping open targets), and the QuorumRepairEngine (choosing repair
-/// sources/destinations).
+/// Replicator (gating writes, filtering read candidates) and the
+/// QuorumRepairEngine (choosing repair sources/destinations).
 class TierHealthMonitor {
  public:
   explicit TierHealthMonitor(HealthOptions options = {});

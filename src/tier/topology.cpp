@@ -108,18 +108,4 @@ bool TierTopology::domain_failed(std::size_t domain) const {
   return failed_domains_.contains(domain);
 }
 
-std::size_t TierTopology::failed_domain_count() const {
-  std::lock_guard lock(mutex_);
-  return failed_domains_.size();
-}
-
-std::vector<std::size_t> TierTopology::alive_indices() const {
-  std::vector<std::size_t> out;
-  out.reserve(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (alive(targets_[i])) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace lowdiff::tier

@@ -114,14 +114,10 @@ class TierTopology {
   void fail_domain(std::size_t domain);
   void restore_domain(std::size_t domain);
   bool domain_failed(std::size_t domain) const;
-  std::size_t failed_domain_count() const;
 
   bool alive(const TierTarget& target) const {
     return !domain_failed(target.failure_domain);
   }
-
-  /// Indices of currently-servable targets.
-  std::vector<std::size_t> alive_indices() const;
 
  private:
   std::vector<TierTarget> targets_;

@@ -3,10 +3,10 @@
 /// \file sim_golden.h
 /// Bit-exact golden results for the legacy 64-GPU-and-below failure
 /// scenarios, generated from the pre-rewrite scalar engine (the code now
-/// frozen as run_with_failures_reference) before the discrete-event
-/// rewrite landed.  Every double is stored as raw IEEE-754 bits: the
-/// engine's legacy path must reproduce these exactly — not approximately —
-/// on every platform the CI matrix covers.
+/// frozen as run_with_failures_reference in sim_reference.h) before the
+/// discrete-event rewrite landed.  Every double is stored as raw IEEE-754
+/// bits: the engine's legacy path must reproduce these exactly — not
+/// approximately — on every platform the CI matrix covers.
 ///
 /// Grid: {A100 x 8, V100S x 64} clusters x 7 strategies x
 /// MTBF {1800 s, 7200 s} x seeds {1, 7}; GPT2-S; rho = 0.01 (LowDiff+

@@ -34,7 +34,6 @@
 #include "storage/fault_injection.h"
 #include "storage/mem_storage.h"
 #include "tier/chaos.h"
-#include "tier/demoter.h"
 #include "tier/health.h"
 #include "tier/placement.h"
 #include "tier/repair.h"
@@ -560,31 +559,6 @@ TEST(Repair, OrphanedDataIsNotRepairWork) {
   EXPECT_EQ(pass.unrepairable, 0u);
   EXPECT_EQ(pass.remaining, 0u);
   EXPECT_TRUE(repair.repair_until_quorum(1));
-}
-
-// --- demoter skips open breakers (satellite) ---------------------------------
-
-TEST(Demoter, SkipsBreakerOpenTargetsAndCountsThem) {
-  auto topo = topo_of(2);
-  HealthOptions h;
-  h.open_cooldown_sec = 1e9;
-  auto health = std::make_shared<TierHealthMonitor>(h);
-
-  // Trip the remote (migration destination) and one peer (source).
-  for (const char* name : {"remote", "mem.s0"}) {
-    health->record_failure(name, ErrorCode::kUnavailable);
-    health->record_failure(name, ErrorCode::kUnavailable);
-    ASSERT_EQ(health->state(name), TargetHealth::kOpen);
-  }
-
-  tier::Demoter::Options dopts;
-  dopts.health = health;
-  tier::Demoter demoter(topo, dopts);
-  const auto skipped0 = counter("tier.demoter.skipped_open_total");
-  const auto pass = demoter.run_once();
-  EXPECT_EQ(pass.skipped_open, 2u);  // remote as dest + mem.s0 as source
-  EXPECT_EQ(counter("tier.demoter.skipped_open_total"), skipped0 + 2);
-  EXPECT_EQ(pass.migrated, 0u);
 }
 
 // --- M/G/∞ repair-overlap model ----------------------------------------------

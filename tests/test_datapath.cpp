@@ -25,6 +25,7 @@
 #include "storage/async_writer.h"
 #include "storage/mem_storage.h"
 #include "storage/serializer.h"
+#include "support/merge_pairwise.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 

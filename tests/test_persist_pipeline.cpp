@@ -29,11 +29,11 @@
 #include "optim/adam.h"
 #include "storage/async_writer.h"
 #include "storage/atomic_commit.h"
-#include "storage/crashable.h"
 #include "storage/deadline.h"
 #include "storage/fault_injection.h"
 #include "storage/mem_storage.h"
 #include "storage/throttled.h"
+#include "support/crashable.h"
 #include "support/kill_points.h"
 #include "support/writer_schedule.h"
 #include "tensor/ops.h"

@@ -3,8 +3,8 @@
 /// round-robin planning, quorum durability through the Replicator, the
 /// failure-domain acceptance scenarios (k=2 survives any single server
 /// loss bit-exactly; the paper's 1@local baseline loses the origin's
-/// chain), bandwidth-optimal source selection, CRC cross-tier fallback,
-/// and the peer-memory Demoter.
+/// chain), bandwidth-optimal source selection and CRC cross-tier
+/// fallback.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "sim/cluster.h"
 #include "sim/failure.h"
 #include "tensor/ops.h"
-#include "tier/demoter.h"
 #include "tier/placement.h"
 #include "tier/replicator.h"
 #include "tier/tier_recovery.h"
@@ -369,61 +368,6 @@ TEST(TierRecovery, CorruptReplicaFallsBackAcrossTiersBitExactly) {
             corrupted);
   ASSERT_TRUE(report.read_sources.count("remote"));
   EXPECT_GT(report.read_sources.at("remote").reads, 0u);
-}
-
-// --- demoter -----------------------------------------------------------------
-
-TEST(Demoter, MigratesOldestFullsFromPeerMemoryToSharedStore) {
-  const auto spec = spec_of(512);
-  auto topo = topo_of(2);
-  auto replicas = replicator_of(topo, "1@peer", /*origin=*/0);
-  CheckpointStore store(replicas);
-
-  ModelState state(spec);
-  state.init_random(21);
-  for (std::uint64_t t = 0; t < 4; ++t) store.put_full(t * 10, state);
-  ASSERT_TRUE(replicas->sync().ok());
-
-  auto* peer = topo->find("mem.s1");
-  ASSERT_NE(peer, nullptr);
-  const auto resident_before = peer->base->resident_bytes();
-  ASSERT_GT(resident_before, 0u);
-
-  // Budget for roughly half the resident set: the two oldest fulls must
-  // move, the newest must stay hot in peer memory.
-  tier::Demoter::Options opts;
-  opts.peer_capacity_bytes = resident_before / 2;
-  tier::Demoter demoter(topo, opts);
-  const auto pass = demoter.run_once();
-
-  EXPECT_GE(pass.migrated, 1u);
-  EXPECT_GT(pass.bytes, 0u);
-  EXPECT_EQ(pass.over_budget, 0u);
-  EXPECT_LE(peer->base->resident_bytes(), opts.peer_capacity_bytes);
-
-  // Oldest full moved (committed on the shared store, gone from the peer);
-  // newest full still lives in peer memory.
-  auto* remote = topo->find("remote");
-  ASSERT_NE(remote, nullptr);
-  EXPECT_TRUE(remote->backend->exists("full/000000000000"));
-  EXPECT_TRUE(remote->backend->exists("commit/full/000000000000"));
-  EXPECT_FALSE(peer->backend->exists("full/000000000000"));
-  EXPECT_TRUE(peer->backend->exists("full/000000000030"));
-
-  // No instant of reduced durability: every full still has a committed
-  // replica somewhere, and the union view still lists all four.
-  for (std::uint64_t t = 0; t < 4; ++t) {
-    char key[32];
-    std::snprintf(key, sizeof(key), "full/%012llu",
-                  static_cast<unsigned long long>(t * 10));
-    EXPECT_GE(replicas->committed_replicas(key), 1u) << key;
-  }
-  EXPECT_EQ(store.manifest().fulls.size(), 4u);
-
-  // A second pass over an in-budget tier is a no-op.
-  const auto again = demoter.run_once();
-  EXPECT_EQ(again.migrated, 0u);
-  EXPECT_EQ(again.over_budget, 0u);
 }
 
 // --- failure sampling (sim/failure.h) ---------------------------------------
