@@ -2,9 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <vector>
-
-#include "common/thread_pool.h"
 
 namespace lowdiff {
 namespace {
@@ -57,23 +54,6 @@ CrcFn resolve_crc32c() {
 
 const CrcFn kCrcImpl = resolve_crc32c();
 
-// --- GF(2) machinery for crc32c_combine (zlib's crc32_combine scheme) -----
-
-std::uint32_t gf2_matrix_times(const std::uint32_t mat[32], std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  int i = 0;
-  while (vec != 0) {
-    if (vec & 1u) sum ^= mat[i];
-    vec >>= 1;
-    ++i;
-  }
-  return sum;
-}
-
-void gf2_matrix_square(std::uint32_t square[32], const std::uint32_t mat[32]) {
-  for (int i = 0; i < 32; ++i) square[i] = gf2_matrix_times(mat, mat[i]);
-}
-
 }  // namespace
 
 std::uint32_t crc32c_sw(std::uint32_t crc, const void* data, std::size_t len) {
@@ -100,67 +80,5 @@ std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t len) {
 }
 
 bool crc32c_hardware_available() { return kCrcImpl == &detail::crc32c_hw; }
-
-std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                             std::uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-
-  std::uint32_t even[32];  // even-power-of-two zero operators
-  std::uint32_t odd[32];   // odd-power-of-two zero operators
-
-  // odd = operator for one zero bit.
-  odd[0] = kPoly;
-  std::uint32_t row = 1;
-  for (int i = 1; i < 32; ++i) {
-    odd[i] = row;
-    row <<= 1;
-  }
-  gf2_matrix_square(even, odd);  // two zero bits
-  gf2_matrix_square(odd, even);  // four zero bits (one zero byte, squared)
-
-  // Advance crc_a through len_b zero bytes by applying the operator for
-  // each set bit of len_b, squaring as we walk the bits.
-  std::uint64_t len = len_b;
-  do {
-    gf2_matrix_square(even, odd);
-    if (len & 1u) crc_a = gf2_matrix_times(even, crc_a);
-    len >>= 1;
-    if (len == 0) break;
-    gf2_matrix_square(odd, even);
-    if (len & 1u) crc_a = gf2_matrix_times(odd, crc_a);
-    len >>= 1;
-  } while (len != 0);
-
-  return crc_a ^ crc_b;
-}
-
-std::uint32_t crc32c_chunked(const void* data, std::size_t len,
-                             ThreadPool* pool, std::size_t min_chunk) {
-  if (pool == nullptr || pool->size() <= 1 || len < 2 * min_chunk) {
-    return crc32c(data, len);
-  }
-  const std::size_t chunks =
-      std::min<std::size_t>(pool->size(), len / min_chunk);
-  const std::size_t per = (len + chunks - 1) / chunks;
-  const auto* base = static_cast<const unsigned char*>(data);
-
-  struct Piece {
-    std::uint32_t crc = 0;
-    std::size_t len = 0;
-  };
-  std::vector<Piece> pieces(chunks);
-  pool->parallel_for(0, chunks, [&](std::size_t c) {
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(len, lo + per);
-    pieces[c].len = hi - lo;
-    pieces[c].crc = crc32c(base + lo, hi - lo);
-  });
-
-  std::uint32_t crc = pieces[0].crc;
-  for (std::size_t c = 1; c < chunks; ++c) {
-    crc = crc32c_combine(crc, pieces[c].crc, pieces[c].len);
-  }
-  return crc;
-}
 
 }  // namespace lowdiff

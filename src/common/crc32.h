@@ -11,17 +11,12 @@
 /// instructions when the CPU has them (SSE4.2 `crc32` on x86-64, the ARMv8
 /// CRC extension on aarch64) and falls back to a slice-by-8 software kernel
 /// otherwise.  All kernels compute the identical function — dispatch never
-/// changes a checksum.  `crc32c_combine` stitches independently computed
-/// chunk CRCs together, which is what lets large checkpoint records be
-/// checksummed chunk-parallel (`crc32c_chunked`) with a bit-identical
-/// result.
+/// changes a checksum.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace lowdiff {
-
-class ThreadPool;
 
 /// Incrementally updates a CRC32C over a byte range.
 /// Start with crc = 0; feed successive chunks, reusing the returned value.
@@ -39,22 +34,6 @@ std::uint32_t crc32c_sw(std::uint32_t crc, const void* data, std::size_t len);
 
 /// True when crc32c() resolves to a hardware instruction kernel.
 bool crc32c_hardware_available();
-
-/// CRC of the concatenation A‖B from crc32c(A) and crc32c(B) alone:
-///   crc32c_combine(crc32c(0, A, lenA), crc32c(0, B, lenB), lenB)
-///     == crc32c(0, A‖B, lenA + lenB)
-/// O(log len_b) GF(2) matrix applications — independent chunks can be
-/// checksummed in parallel and folded exactly.
-std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                             std::uint64_t len_b);
-
-/// Chunk-parallel one-shot CRC32C: splits `data` across `pool` (when given
-/// and the range is at least `min_chunk` per worker), checksums chunks
-/// concurrently, and folds with crc32c_combine.  Bit-identical to
-/// crc32c(data, len) for every pool size, including none.
-std::uint32_t crc32c_chunked(const void* data, std::size_t len,
-                             ThreadPool* pool,
-                             std::size_t min_chunk = std::size_t{1} << 20);
 
 namespace detail {
 /// Hardware kernel + support probe, defined in crc32_hw.cpp (compiled with

@@ -286,8 +286,9 @@ Result<ModelState> CheckpointStore::try_read_full(std::uint64_t iter,
                                   std::to_string(iter))
                      : bytes.status());
       }
-      auto [type, payload] = unframe(*bytes);
-      LOWDIFF_ENSURE(type == RecordType::kFullShard, "not a checkpoint shard");
+      const Frame f = unframe(*bytes);  // committed_read checked the bytes
+      LOWDIFF_ENSURE(f.type == RecordType::kFullShard, "not a checkpoint shard");
+      const auto payload = f.payload;
       std::size_t pos = 0;
       const auto shard_iter = read_pod<std::uint64_t>(payload, pos);
       const auto shard_rank = read_pod<std::uint32_t>(payload, pos);

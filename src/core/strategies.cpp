@@ -4,6 +4,7 @@
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
+#include "common/logging.h"
 #include "obs/datapath.h"
 #include "obs/trace.h"
 #include "storage/atomic_commit.h"
@@ -201,9 +202,11 @@ struct NaiveDiffRecord {
     return frame(RecordType::kNaiveDiff, payload);
   }
 
+  /// Parses, in place, bytes committed_read() has checked.
   static NaiveDiffRecord deserialize(std::span<const std::byte> bytes) {
-    auto [type, payload] = unframe(bytes);
-    LOWDIFF_ENSURE(type == RecordType::kNaiveDiff, "not a naive differential");
+    const Frame f = unframe(bytes);
+    LOWDIFF_ENSURE(f.type == RecordType::kNaiveDiff, "not a naive differential");
+    const auto payload = f.payload;
     std::size_t pos = 0;
     auto read_u64 = [&payload, &pos]() {
       LOWDIFF_ENSURE(pos + 8 <= payload.size(), "truncated naive diff");
@@ -225,8 +228,7 @@ struct NaiveDiffRecord {
     rec.iteration = read_u64();
     const auto grad_len = read_u64();
     LOWDIFF_ENSURE(pos + grad_len <= payload.size(), "truncated naive diff grad");
-    rec.params_diff = CompressedGrad::deserialize(
-        std::span<const std::byte>(payload).subspan(pos, grad_len));
+    rec.params_diff = CompressedGrad::deserialize(payload.subspan(pos, grad_len));
     pos += grad_len;
     rec.m_diff = read_floats();
     rec.v_diff = read_floats();
@@ -313,37 +315,41 @@ StrategyStats NaiveDcStrategy::stats() const {
   return out;
 }
 
-ModelState NaiveDcStrategy::recover(const CheckpointStore& store,
-                                    const ModelSpec& spec,
-                                    const Compressor& compressor) {
-  const auto full_iter = store.latest_full();
+ModelState NaiveDcStrategy::recover(const ModelSpec& spec) const {
+  const auto full_iter = store_->latest_full();
   LOWDIFF_ENSURE(full_iter.has_value(), "no full checkpoint to recover from");
-  ModelState state = store.read_full(*full_iter, spec);
+  ModelState state = store_->read_full(*full_iter, spec);
 
-  // Collect committed naive diffs after the full checkpoint, in iteration
-  // order (an uncommitted diff was torn mid-write — invisible by design).
-  std::vector<std::pair<std::uint64_t, std::string>> diffs;
-  for (const auto& key : store.backend().list()) {
-    unsigned long long iter = 0;
-    if (std::sscanf(key.c_str(), "ndiff/%llu", &iter) == 1 && iter > *full_iter &&
-        is_committed(store.backend(), key)) {
-      diffs.emplace_back(iter, key);
-    }
-  }
-  std::sort(diffs.begin(), diffs.end());
-
+  // A diff is the state change since the previous checkpoint, so only an
+  // unbroken run of the diffs due after the full rebuilds a state training
+  // had.  The chain ends at the first due diff that is missing (never
+  // committed) or unreadable, as in RecoveryEngine, and before the next due
+  // full: the latest committed full is older, so that full never committed
+  // and the diffs after it start from a state this chain does not have.
+  auto next_due = [](std::uint64_t after, std::uint64_t interval) {
+    return (after + 1) / interval * interval + interval - 1;
+  };
   Tensor dense(spec.param_count());
   Xoshiro256 rng(0x7ead5eed);
-  for (const auto& [iter, key] : diffs) {
-    auto bytes = committed_read(store.backend(), key, store.retry_policy(), rng);
-    LOWDIFF_ENSURE(bytes.ok(),
-                   "naive diff " + key + ": " + bytes.status().to_string());
+  for (std::uint64_t last = *full_iter;;) {
+    const std::uint64_t iter = next_due(last, diff_interval_);
+    if (next_due(last, full_interval_) <= iter) break;
+    const std::string key = naive_diff_key(iter);
+    auto bytes = committed_read(store_->backend(), key, store_->retry_policy(), rng);
+    if (!bytes.ok()) {
+      if (bytes.status().code() != ErrorCode::kNotFound) {
+        LOWDIFF_LOG_ERROR("naive diff ", key, " unusable: ",
+                          bytes.status().to_string());
+      }
+      break;
+    }
     const NaiveDiffRecord rec = NaiveDiffRecord::deserialize(*bytes);
-    compressor.decompress(rec.params_diff, dense.span());
+    compressor_->decompress(rec.params_diff, dense.span());
     ops::axpy(1.0f, dense.cspan(), state.params().span());
     ops::axpy(1.0f, std::span<const float>(rec.m_diff), state.moment1().span());
     ops::axpy(1.0f, std::span<const float>(rec.v_diff), state.moment2().span());
-    state.set_step(state.step() + 1);
+    state.set_step(state.step() + (iter - last));
+    last = iter;
   }
   return state;
 }

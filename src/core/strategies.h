@@ -165,10 +165,11 @@ class NaiveDcStrategy final : public CheckpointStrategy {
   std::string name() const override { return "NaiveDC"; }
   StrategyStats stats() const override;
 
-  /// Serial recovery: load latest full, then add each stored diff
-  /// (params += decompress(params_diff); moments += raw diffs).
-  static ModelState recover(const CheckpointStore& store, const ModelSpec& spec,
-                            const Compressor& compressor);
+  /// Serial recovery: load the latest full, then add each diff due after it
+  /// (params += decompress(params_diff); moments += raw diffs), in order.
+  /// The first due diff that is missing or unreadable ends the chain, and
+  /// so does the next full due, which never committed.
+  ModelState recover(const ModelSpec& spec) const;
 
   static std::string naive_diff_key(std::uint64_t iter);
 

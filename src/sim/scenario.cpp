@@ -629,11 +629,10 @@ FleetRunResult run_scenario(const ClusterSpec& cluster,
     local = compute_steady_costs(eff, workload, strategy);
     costs = &local;
   }
-  return run_scenario(cluster, workload, strategy, scenario, *costs, policy);
+  return run_scenario(cluster, strategy, scenario, *costs, policy);
 }
 
 FleetRunResult run_scenario(const ClusterSpec& cluster,
-                            const Workload& workload,
                             const StrategyConfig& strategy,
                             const ScenarioConfig& scenario,
                             const SteadyCosts& costs, QueuePolicy policy) {

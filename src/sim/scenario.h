@@ -189,8 +189,8 @@ FleetRunResult run_scenario(const ClusterSpec& cluster, const Workload& workload
 /// StepCostCache) for the *effective* cluster — cluster with
 /// scenario.num_workers applied — or results are meaningless.  run_sweep
 /// resolves each cell's costs once during pre-warm and runs cells through
-/// this entry.
-FleetRunResult run_scenario(const ClusterSpec& cluster, const Workload& workload,
+/// this entry.  The workload is already folded into `costs`.
+FleetRunResult run_scenario(const ClusterSpec& cluster,
                             const StrategyConfig& strategy,
                             const ScenarioConfig& scenario,
                             const SteadyCosts& costs,

@@ -39,8 +39,8 @@ std::vector<SweepCellResult> run_sweep(const std::vector<SweepCell>& cells,
     out.strategy_name = to_string(cell.strategy.kind);
     out.workers = cell.scenario.num_workers > 0 ? cell.scenario.num_workers
                                                 : cell.cluster.num_gpus;
-    out.run = run_scenario(cell.cluster, cell.workload, cell.strategy,
-                           scenario, *costs[i], options.queue);
+    out.run = run_scenario(cell.cluster, cell.strategy, scenario, *costs[i],
+                           options.queue);
   };
 
   if (pool != nullptr && pool->size() > 1) {

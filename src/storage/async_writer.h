@@ -50,7 +50,9 @@ class AsyncWriter {
     /// fire in submission order.
     std::function<void()> on_done;
     /// Invoked on the writer thread with the job's final status, success or
-    /// not — the hook health monitors use to observe replica outcomes.
+    /// not.  Only tests set it, to observe each record's outcome; the
+    /// Replicator observes its lanes through their MonitoredBackend
+    /// wrappers instead.
     std::function<void(const Status&)> on_result;
   };
 

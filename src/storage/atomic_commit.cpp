@@ -28,19 +28,28 @@ std::vector<std::byte> make_commit_marker(std::span<const std::byte> data) {
 Result<CommitRecord> parse_commit_marker(std::span<const std::byte> bytes) {
   using R = Result<CommitRecord>;
   try {
-    auto [type, payload] = unframe(bytes);
-    if (type != RecordType::kCommitMarker || payload.size() != kMarkerPayloadSize) {
+    const Frame f = unframe(bytes);
+    if (f.type != RecordType::kCommitMarker ||
+        f.payload.size() != kMarkerPayloadSize) {
       return R(ErrorCode::kCorrupted, "commit marker has wrong type/shape");
     }
+    if (crc32c(f.payload.data(), f.payload.size()) != f.payload_crc) {
+      return R(ErrorCode::kCorrupted, "commit marker CRC mismatch");
+    }
     CommitRecord rec;
-    std::memcpy(&rec.data_len, payload.data(), sizeof(rec.data_len));
-    std::memcpy(&rec.data_crc, payload.data() + sizeof(rec.data_len),
+    std::memcpy(&rec.data_len, f.payload.data(), sizeof(rec.data_len));
+    std::memcpy(&rec.data_crc, f.payload.data() + sizeof(rec.data_len),
                 sizeof(rec.data_crc));
     return rec;
   } catch (const Error& e) {
     return R(ErrorCode::kCorrupted,
              std::string("commit marker unreadable: ") + e.what());
   }
+}
+
+bool matches_marker(std::span<const std::byte> data, const CommitRecord& record) {
+  return data.size() == record.data_len &&
+         crc32c(data.data(), data.size()) == record.data_crc;
 }
 
 Status write_with_retry(StorageBackend& backend, const std::string& key,
@@ -133,13 +142,12 @@ Result<std::vector<std::byte>> committed_read(
     }
     return R(data.status());
   }
-  if (data->size() != rec->data_len) {
+  if (!matches_marker(*data, *rec)) {
     return R(ErrorCode::kCorrupted,
-             "torn data for " + key + ": " + std::to_string(data->size()) +
-                 " bytes vs committed " + std::to_string(rec->data_len));
-  }
-  if (crc32c(data->data(), data->size()) != rec->data_crc) {
-    return R(ErrorCode::kCorrupted, "CRC mismatch for " + key);
+             data->size() != rec->data_len
+                 ? "torn data for " + key + ": " + std::to_string(data->size()) +
+                       " bytes vs committed " + std::to_string(rec->data_len)
+                 : "CRC mismatch for " + key);
   }
   return data;
 }

@@ -10,6 +10,13 @@
 /// can detect torn or bit-flipped data even when the backend lies about the
 /// write having succeeded.  Readers treat marker-less data as absent
 /// (kNotFound) and marker/data mismatches as kCorrupted.
+///
+/// matches_marker() is the one check of a data record's bytes: every reader
+/// that validates data (committed_read, tier::Replicator's verified pass,
+/// tier::QuorumRepairEngine's source pick) calls it, and the decoders in
+/// serializer.h trust what it passed.  A marker vouches for its data but
+/// nothing vouches for the marker, so parse_commit_marker() checks the
+/// marker's own frame CRC.
 
 #include <cstdint>
 #include <string>
@@ -45,8 +52,12 @@ struct CommitRecord {
 /// Serializes a marker for `data` (framed as RecordType::kCommitMarker).
 std::vector<std::byte> make_commit_marker(std::span<const std::byte> data);
 
-/// Parses a marker object; kCorrupted if the frame or shape is bad.
+/// Parses a marker object; kCorrupted if its frame, shape or frame CRC is
+/// bad.
 Result<CommitRecord> parse_commit_marker(std::span<const std::byte> bytes);
+
+/// True iff `data` has the length and CRC32C its marker recorded.
+bool matches_marker(std::span<const std::byte> data, const CommitRecord& record);
 
 /// write() with bounded-backoff retries on retryable failures.
 Status write_with_retry(StorageBackend& backend, const std::string& key,
@@ -88,7 +99,8 @@ Status committed_write(StorageBackend& backend, const std::string& key,
                        std::uint64_t* retries_out = nullptr);
 
 /// Reads a committed object: kNotFound without a marker, kCorrupted when
-/// the data fails the marker's length/CRC check.
+/// the data fails matches_marker() ("torn data" on a length mismatch, "CRC
+/// mismatch" otherwise).
 Result<std::vector<std::byte>> committed_read(
     const StorageBackend& backend, const std::string& key,
     const RetryPolicy& policy, Xoshiro256& rng,

@@ -4,7 +4,6 @@
 
 #include "common/crc32.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace lowdiff {
@@ -96,10 +95,10 @@ std::span<std::byte> frame_prepare(std::span<std::byte> record, RecordType type)
   return record.subspan(kHeaderSize);
 }
 
-void frame_seal(std::span<std::byte> record, ThreadPool* pool) {
+void frame_seal(std::span<std::byte> record) {
   LOWDIFF_ENSURE(record.size() >= kHeaderSize, "frame buffer shorter than header");
   const auto payload = record.subspan(kHeaderSize);
-  const std::uint32_t crc = crc32c_chunked(payload.data(), payload.size(), pool);
+  const std::uint32_t crc = crc32c(payload.data(), payload.size());
   std::memcpy(record.data() + kCrcOffset, &crc, sizeof(crc));
 }
 
@@ -111,21 +110,16 @@ std::vector<std::byte> frame(RecordType type, std::span<const std::byte> payload
   return out;
 }
 
-std::pair<RecordType, std::vector<std::byte>> unframe(
-    std::span<const std::byte> bytes) {
+Frame unframe(std::span<const std::byte> bytes) {
   LOWDIFF_ENSURE(bytes.size() >= kHeaderSize, "record shorter than header");
   LOWDIFF_ENSURE(std::memcmp(bytes.data(), kMagic, 4) == 0, "bad checkpoint magic");
   const auto version = read_at<std::uint16_t>(bytes, 4);
   LOWDIFF_ENSURE(version == kVersion, "unsupported checkpoint version");
-  const auto type = static_cast<RecordType>(read_at<std::uint8_t>(bytes, 6));
   const auto payload_len = read_at<std::uint64_t>(bytes, 7);
-  const auto expected_crc = read_at<std::uint32_t>(bytes, 15);
   LOWDIFF_ENSURE(bytes.size() == kHeaderSize + payload_len,
                  "record length mismatch");
-  const auto payload = bytes.subspan(kHeaderSize);
-  LOWDIFF_ENSURE(crc32c(payload.data(), payload.size()) == expected_crc,
-                 "checkpoint CRC mismatch (corrupt or torn write)");
-  return {type, std::vector<std::byte>(payload.begin(), payload.end())};
+  return {static_cast<RecordType>(read_at<std::uint8_t>(bytes, 6)),
+          read_at<std::uint32_t>(bytes, kCrcOffset), bytes.subspan(kHeaderSize)};
 }
 
 std::vector<std::byte> serialize_model_state(const ModelState& state) {
@@ -135,19 +129,19 @@ std::vector<std::byte> serialize_model_state(const ModelState& state) {
   return out;
 }
 
-PooledBuffer serialize_model_state(const ModelState& state, BufferPool& pool,
-                                   ThreadPool* crc_pool) {
+PooledBuffer serialize_model_state(const ModelState& state, BufferPool& pool) {
   PooledBuffer out = pool.acquire(framed_size(model_state_payload_size(state)));
   write_model_state_payload(frame_prepare(out.span(), RecordType::kFullCheckpoint),
                             state);
-  frame_seal(out.span(), crc_pool);
+  frame_seal(out.span());
   return out;
 }
 
 ModelState deserialize_model_state(std::span<const std::byte> bytes,
                                    const ModelSpec& spec) {
-  auto [type, payload] = unframe(bytes);
-  LOWDIFF_ENSURE(type == RecordType::kFullCheckpoint, "not a full checkpoint");
+  const Frame f = unframe(bytes);
+  LOWDIFF_ENSURE(f.type == RecordType::kFullCheckpoint, "not a full checkpoint");
+  const auto payload = f.payload;
   std::size_t pos = 0;
   const auto step = read_at<std::uint64_t>(payload, pos);
   pos += sizeof(std::uint64_t);
@@ -171,18 +165,18 @@ std::vector<std::byte> serialize_diff(const CompressedGrad& grad) {
   return out;
 }
 
-PooledBuffer serialize_diff(const CompressedGrad& grad, BufferPool& pool,
-                            ThreadPool* crc_pool) {
+PooledBuffer serialize_diff(const CompressedGrad& grad, BufferPool& pool) {
   PooledBuffer out = pool.acquire(framed_size(grad.serialized_size()));
   grad.serialize_into(frame_prepare(out.span(), RecordType::kDiffCheckpoint));
-  frame_seal(out.span(), crc_pool);
+  frame_seal(out.span());
   return out;
 }
 
 CompressedGrad deserialize_diff(std::span<const std::byte> bytes) {
-  auto [type, payload] = unframe(bytes);
-  LOWDIFF_ENSURE(type == RecordType::kDiffCheckpoint, "not a differential checkpoint");
-  return CompressedGrad::deserialize(payload);
+  const Frame f = unframe(bytes);
+  LOWDIFF_ENSURE(f.type == RecordType::kDiffCheckpoint,
+                 "not a differential checkpoint");
+  return CompressedGrad::deserialize(f.payload);
 }
 
 std::vector<std::byte> serialize_batch(const BatchedGrad& batch) {
@@ -192,18 +186,17 @@ std::vector<std::byte> serialize_batch(const BatchedGrad& batch) {
   return out;
 }
 
-PooledBuffer serialize_batch(const BatchedGrad& batch, BufferPool& pool,
-                             ThreadPool* crc_pool) {
+PooledBuffer serialize_batch(const BatchedGrad& batch, BufferPool& pool) {
   PooledBuffer out = pool.acquire(framed_size(batch.serialized_size()));
   batch.serialize_into(frame_prepare(out.span(), RecordType::kBatchedDiff));
-  frame_seal(out.span(), crc_pool);
+  frame_seal(out.span());
   return out;
 }
 
 BatchedGrad deserialize_batch(std::span<const std::byte> bytes) {
-  auto [type, payload] = unframe(bytes);
-  LOWDIFF_ENSURE(type == RecordType::kBatchedDiff, "not a batched differential");
-  return BatchedGrad::deserialize(payload);
+  const Frame f = unframe(bytes);
+  LOWDIFF_ENSURE(f.type == RecordType::kBatchedDiff, "not a batched differential");
+  return BatchedGrad::deserialize(f.payload);
 }
 
 }  // namespace lowdiff

@@ -1,5 +1,6 @@
 #include "tier/chaos.h"
 
+#include <limits>
 #include <optional>
 
 #include "compress/topk.h"
@@ -83,7 +84,9 @@ ChaosReport ChaosRunner::run(std::uint64_t seed) const {
   Tensor dense(spec.param_count());
 
   // --- schedule state ------------------------------------------------------
-  std::optional<std::size_t> dead_server;  // at most one concurrent loss
+  // At most one concurrent loss: the dead server, or kNoServer.
+  constexpr std::size_t kNoServer = std::numeric_limits<std::size_t>::max();
+  std::size_t dead_server = kNoServer;
   std::uint64_t restore_at = 0;
   struct ActiveSickness {
     std::string target;
@@ -115,18 +118,18 @@ ChaosReport ChaosRunner::run(std::uint64_t seed) const {
   for (std::uint64_t t = 0; t < o.iters; ++t) {
     // Pending clears first, so a sickness/death window always ends.
     if (sick && sick->clear_at <= t) clear_sickness(t);
-    if (dead_server && restore_at <= t) {
-      topo->restore_domain(*dead_server);
+    if (dead_server != kNoServer && restore_at <= t) {
+      topo->restore_domain(dead_server);
       for (std::size_t i = 0; i < topo->size(); ++i) {
         auto& tgt = topo->target(i);
-        if (tgt.failure_domain == *dead_server) health->reset(tgt.name);
+        if (tgt.failure_domain == dead_server) health->reset(tgt.name);
       }
-      note(ChaosEvent::Kind::kRestore, t, *dead_server, "");
-      dead_server.reset();
+      note(ChaosEvent::Kind::kRestore, t, dead_server, "");
+      dead_server = kNoServer;
     }
 
     // New events (never before iteration 1: the first full must anchor).
-    if (t > 0 && !dead_server &&
+    if (t > 0 && dead_server == kNoServer &&
         sched_rng.uniform_double() < o.kill_rate) {
       const auto victim =
           static_cast<std::size_t>(sched_rng.uniform_below(o.servers));

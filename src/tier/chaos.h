@@ -24,10 +24,11 @@
 ///              exercising the timeout→breaker path.
 ///
 /// The checkpoint loop follows the gap-free chain discipline: after any
-/// failed put the runner writes only *full* checkpoints until one commits
-/// (a diff after a hole would let recovery silently replay across the gap
-/// and reconstruct a wrong state — see core/recovery.cpp's truncation
-/// semantics, which detect unreadable records, not never-written ones).
+/// failed put the runner writes only *full* checkpoints until one commits.
+/// Recovery already stops at a hole — core/recovery.cpp ends the chain at
+/// the first unreadable record or never-committed iteration — so the
+/// discipline does not guard correctness; it keeps the runner from writing
+/// diffs after a hole, where no chain can reach them.
 ///
 /// After the schedule drains, the run recovers through the tier-aware
 /// engine from whatever survives and checks the recovered state is

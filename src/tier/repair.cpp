@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -149,8 +148,7 @@ QuorumRepairEngine::Pass QuorumRepairEngine::run_once() {
       auto record = parse_commit_marker(*m);
       if (!record.ok()) continue;
       auto d = t->backend->read(key);
-      if (!d.ok() || d->size() != record->data_len ||
-          crc32c(d->data(), d->size()) != record->data_crc) {
+      if (!d.ok() || !matches_marker(*d, *record)) {
         continue;
       }
       data = std::move(*d);

@@ -5,7 +5,6 @@
 #include <set>
 #include <thread>
 
-#include "common/crc32.h"
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
@@ -416,8 +415,7 @@ Result<std::vector<std::byte>> Replicator::read(const std::string& key) const {
         }
         continue;
       }
-      if (data->size() != record->data_len ||
-          crc32c(data->data(), data->size()) != record->data_crc) {
+      if (!matches_marker(*data, *record)) {
         saw_corrupt = true;
         note_corrupt(lane);
         continue;

@@ -14,10 +14,11 @@
 ///
 /// Reads are placement-aware: candidates are the surviving tiers holding
 /// the key, tried in descending read-bandwidth order; a replica that fails
-/// its own tier's marker CRC is skipped (counted in
-/// `tier.<name>.read_corrupt_total`) and the next-fastest tier serves
-/// instead, so a single corrupt replica never truncates recovery while a
-/// healthy copy exists.  Requests against a failed domain fail with
+/// matches_marker() against its own tier's marker (the commit protocol's
+/// shared check, atomic_commit.h), or whose marker fails to parse, is
+/// skipped (counted in `tier.<name>.read_corrupt_total`) and the
+/// next-fastest tier serves instead, so a single corrupt replica never
+/// truncates recovery while a healthy copy exists.  Requests against a failed domain fail with
 /// kUnavailable even when raced by in-flight replica jobs.
 ///
 /// Because Replicator *is* a StorageBackend, the whole existing stack —

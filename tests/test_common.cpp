@@ -86,42 +86,6 @@ TEST(Crc32, SoftwareKernelMatchesDispatch) {
   }
 }
 
-TEST(Crc32, CombineMatchesConcatenation) {
-  std::vector<unsigned char> data(2048);
-  Xoshiro256 rng(7);
-  for (auto& b : data) b = static_cast<unsigned char>(rng());
-  const std::uint32_t whole = crc32c(data.data(), data.size());
-  for (std::size_t cut : {0u, 1u, 5u, 512u, 1000u, 2047u, 2048u}) {
-    const std::uint32_t a = crc32c(data.data(), cut);
-    const std::uint32_t b = crc32c(data.data() + cut, data.size() - cut);
-    EXPECT_EQ(crc32c_combine(a, b, data.size() - cut), whole) << "cut=" << cut;
-  }
-}
-
-TEST(Crc32, CombineWithEmptyRightIsIdentity) {
-  const char* data = "123456789";
-  const std::uint32_t crc = crc32c(data, 9);
-  EXPECT_EQ(crc32c_combine(crc, 0, 0), crc);
-}
-
-TEST(Crc32, ChunkedMatchesFlatForEveryPoolSize) {
-  std::vector<unsigned char> data(1 << 16);
-  Xoshiro256 rng(21);
-  for (auto& b : data) b = static_cast<unsigned char>(rng());
-  const std::uint32_t flat = crc32c(data.data(), data.size());
-  // No pool: must fall through to the plain kernel.
-  EXPECT_EQ(crc32c_chunked(data.data(), data.size(), nullptr, 1024), flat);
-  for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(workers);
-    // min_chunk far below the range so the parallel split actually runs.
-    EXPECT_EQ(crc32c_chunked(data.data(), data.size(), &pool, 1024), flat)
-        << "workers=" << workers;
-    // min_chunk above the range: serial fallback, same answer.
-    EXPECT_EQ(crc32c_chunked(data.data(), data.size(), &pool, 1 << 20), flat)
-        << "workers=" << workers;
-  }
-}
-
 TEST(Rng, SplitMixDeterministic) {
   SplitMix64 a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

@@ -279,22 +279,19 @@ TEST(PooledSerializers, ByteIdenticalToVectorForms) {
   batch.last_iteration = 3;
 
   BufferPool pool;
-  ThreadPool crc_pool(3);
-  for (ThreadPool* cp : {static_cast<ThreadPool*>(nullptr), &crc_pool}) {
-    const auto full = serialize_model_state(state, pool, cp);
-    EXPECT_EQ(std::vector<std::byte>(full.cspan().begin(), full.cspan().end()),
-              serialize_model_state(state));
-    const auto d = serialize_diff(diff, pool, cp);
-    EXPECT_EQ(std::vector<std::byte>(d.cspan().begin(), d.cspan().end()),
-              serialize_diff(diff));
-    const auto b = serialize_batch(batch, pool, cp);
-    EXPECT_EQ(std::vector<std::byte>(b.cspan().begin(), b.cspan().end()),
-              serialize_batch(batch));
-    // And the framed records still unframe + roundtrip.
-    const auto [type, payload] = unframe(b.cspan());
-    EXPECT_EQ(type, RecordType::kBatchedDiff);
-    EXPECT_EQ(BatchedGrad::deserialize(payload).serialize(), batch.serialize());
-  }
+  const auto full = serialize_model_state(state, pool);
+  EXPECT_EQ(std::vector<std::byte>(full.cspan().begin(), full.cspan().end()),
+            serialize_model_state(state));
+  const auto d = serialize_diff(diff, pool);
+  EXPECT_EQ(std::vector<std::byte>(d.cspan().begin(), d.cspan().end()),
+            serialize_diff(diff));
+  const auto b = serialize_batch(batch, pool);
+  EXPECT_EQ(std::vector<std::byte>(b.cspan().begin(), b.cspan().end()),
+            serialize_batch(batch));
+  // And the framed records still unframe + roundtrip.
+  const Frame f = unframe(b.cspan());
+  EXPECT_EQ(f.type, RecordType::kBatchedDiff);
+  EXPECT_EQ(BatchedGrad::deserialize(f.payload).serialize(), batch.serialize());
 }
 
 TEST(Framing, PrepareFillSealMatchesFrame) {
@@ -304,15 +301,12 @@ TEST(Framing, PrepareFillSealMatchesFrame) {
   const auto reference = frame(RecordType::kDiffCheckpoint, payload);
   ASSERT_EQ(reference.size(), framed_size(payload.size()));
 
-  ThreadPool pool(2);
-  for (ThreadPool* cp : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    std::vector<std::byte> record(framed_size(payload.size()));
-    auto region = frame_prepare(record, RecordType::kDiffCheckpoint);
-    ASSERT_EQ(region.size(), payload.size());
-    std::memcpy(region.data(), payload.data(), payload.size());
-    frame_seal(record, cp);
-    EXPECT_EQ(record, reference);
-  }
+  std::vector<std::byte> record(framed_size(payload.size()));
+  auto region = frame_prepare(record, RecordType::kDiffCheckpoint);
+  ASSERT_EQ(region.size(), payload.size());
+  std::memcpy(region.data(), payload.data(), payload.size());
+  frame_seal(record);
+  EXPECT_EQ(record, reference);
 }
 
 // --- BufferPool / ByteBuffer ----------------------------------------------

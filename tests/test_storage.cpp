@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/buffer_pool.h"
+#include "common/crc32.h"
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/logging.h"
@@ -154,16 +155,43 @@ TEST(Serializer, ModelStateSpecMismatchRejected) {
 }
 
 TEST(Serializer, CrcDetectsEveryCorruptedRegion) {
+  // The decoders trust bytes committed_read() has checked, so a committed
+  // record is checked once, by its marker's CRC over the whole framed
+  // record: the type tag (byte 6), the stored payload CRC (byte 15) and
+  // payload bytes across the record.
   ModelState state(small_spec());
   state.init_random(9);
-  auto bytes = serialize_model_state(state);
-  // Corrupt one byte in several positions across the payload.
-  for (std::size_t pos : {std::size_t{25}, bytes.size() / 2, bytes.size() - 1}) {
+  const auto bytes = serialize_model_state(state);
+  MemStorage mem;
+  Xoshiro256 rng(1);
+  ASSERT_TRUE(committed_write(mem, "full", bytes, RetryPolicy{}, rng).ok());
+  for (std::size_t pos : {std::size_t{6}, std::size_t{15}, std::size_t{25},
+                          bytes.size() / 2, bytes.size() - 1}) {
     auto corrupt = bytes;
     corrupt[pos] ^= std::byte{0x40};
-    EXPECT_THROW(deserialize_model_state(corrupt, small_spec()), Error)
+    ASSERT_TRUE(mem.write("full", corrupt).ok());
+    EXPECT_EQ(committed_read(mem, "full", RetryPolicy{}, rng).status().code(),
+              ErrorCode::kCorrupted)
         << "corruption at byte " << pos << " was not detected";
   }
+}
+
+TEST(Serializer, UnframeReturnsAViewWithoutChecksumming) {
+  std::vector<std::byte> payload(257);
+  Xoshiro256 rng(3);
+  for (auto& b : payload) b = static_cast<std::byte>(rng());
+  auto record = frame(RecordType::kDiffCheckpoint, payload);
+
+  const Frame f = unframe(record);
+  EXPECT_EQ(f.type, RecordType::kDiffCheckpoint);
+  EXPECT_EQ(f.payload_crc, crc32c(payload.data(), payload.size()));
+  EXPECT_EQ(f.payload.data(), record.data() + framed_size(0));  // no copy
+  EXPECT_EQ(f.payload.size(), payload.size());
+
+  // The payload CRC is not unframe()'s to check: committed_read() checked
+  // these bytes against their marker before any decoder sees them.
+  record.back() ^= std::byte{0x01};
+  EXPECT_EQ(unframe(record).payload.data(), record.data() + framed_size(0));
 }
 
 TEST(Serializer, BadMagicAndTruncationRejected) {
@@ -608,6 +636,19 @@ TEST(AtomicCommit, CorruptMarkerDetected) {
   mem.write(commit_marker_key("ckpt"), bytes_of("garbage marker"));
   EXPECT_EQ(committed_read(mem, "ckpt", fast_policy(), rng).status().code(),
             ErrorCode::kCorrupted);
+}
+
+TEST(AtomicCommit, MarkerBitFlipAnywhereDetected) {
+  // Nothing vouches for a marker, so its own frame CRC guards its payload
+  // (the data length and CRC) and the header checks guard the rest.
+  const auto marker = make_commit_marker(bytes_of("payload"));
+  ASSERT_TRUE(parse_commit_marker(marker).ok());
+  for (std::size_t pos = 0; pos < marker.size(); ++pos) {
+    auto flipped = marker;
+    flipped[pos] ^= std::byte{0x01};
+    EXPECT_EQ(parse_commit_marker(flipped).status().code(), ErrorCode::kCorrupted)
+        << "bit flip in marker byte " << pos << " was not detected";
+  }
 }
 
 TEST(AtomicCommit, MarkerKeysRoundTrip) {

@@ -11,6 +11,7 @@
 #include "core/recovery.h"
 #include "core/strategies.h"
 #include "optim/adam.h"
+#include "storage/atomic_commit.h"
 #include "storage/mem_storage.h"
 #include "storage/throttled.h"
 #include "tensor/ops.h"
@@ -113,8 +114,7 @@ TEST(NaiveDc, RecoversExactlyFromStateDiffs) {
   for (std::uint64_t t = 0; t < 10; ++t) h.step(t, strategy, comp);
   strategy.flush();
 
-  TopKCompressor loss_free(1.0);
-  const auto recovered = NaiveDcStrategy::recover(*store, h.spec, loss_free);
+  const auto recovered = strategy.recover(h.spec);
   EXPECT_EQ(recovered.step(), h.state.step());
   EXPECT_LT(
       ops::max_abs_diff(recovered.params().cspan(), h.state.params().cspan()),
@@ -122,6 +122,62 @@ TEST(NaiveDc, RecoversExactlyFromStateDiffs) {
   EXPECT_LT(
       ops::max_abs_diff(recovered.moment1().cspan(), h.state.moment1().cspan()),
       1e-6f);
+}
+
+/// Trains `iters` iterations under a lossless NaiveDC strategy and keeps
+/// the state after each one.
+std::vector<ModelState> run_naive_dc(Harness& h, NaiveDcStrategy& strategy,
+                                     std::uint64_t iters) {
+  TopKCompressor comp(0.1);
+  std::vector<ModelState> snapshots;
+  for (std::uint64_t t = 0; t < iters; ++t) {
+    h.step(t, strategy, comp);
+    snapshots.push_back(h.state.clone());
+  }
+  strategy.flush();
+  return snapshots;
+}
+
+void expect_state_near(const ModelState& got, const ModelState& want) {
+  EXPECT_EQ(got.step(), want.step());
+  EXPECT_LT(ops::max_abs_diff(got.params().cspan(), want.params().cspan()), 1e-6f);
+  EXPECT_LT(ops::max_abs_diff(got.moment1().cspan(), want.moment1().cspan()), 1e-6f);
+  EXPECT_LT(ops::max_abs_diff(got.moment2().cspan(), want.moment2().cspan()), 1e-6f);
+}
+
+TEST(NaiveDc, ChainEndsAtFirstMissingDiff) {
+  // A diff is a state change since the previous checkpoint: stepping over a
+  // diff that never committed lands in a state training never had.
+  auto mem = std::make_shared<MemStorage>();
+  auto store = std::make_shared<CheckpointStore>(mem);
+  NaiveDcStrategy strategy(store, std::make_unique<TopKCompressor>(1.0),
+                           /*diff_interval=*/1, /*full_interval=*/6);
+  Harness h;
+  const auto snapshots = run_naive_dc(h, strategy, 10);
+  ASSERT_EQ(store->latest_full(), 5u);
+
+  mem->remove(commit_marker_key(NaiveDcStrategy::naive_diff_key(7)));
+  expect_state_near(strategy.recover(h.spec), snapshots[6]);
+}
+
+TEST(NaiveDc, DiffIntervalChainStepsByIntervalAndStopsAtUncommittedFull) {
+  // Diffs every 2nd iteration, fulls every 5th, over iterations 0..8: a
+  // full at 0 (the first call), diffs at 1 and 3, a full at 4, diffs at 5
+  // and 7.
+  auto mem = std::make_shared<MemStorage>();
+  auto store = std::make_shared<CheckpointStore>(mem);
+  NaiveDcStrategy strategy(store, std::make_unique<TopKCompressor>(1.0),
+                           /*diff_interval=*/2, /*full_interval=*/5);
+  Harness h;
+  const auto snapshots = run_naive_dc(h, strategy, 9);
+  ASSERT_EQ(store->latest_full(), 4u);
+  expect_state_near(strategy.recover(h.spec), snapshots[7]);
+
+  // Without the full at 4, the diffs after it start from a state the chain
+  // from the full at 0 cannot rebuild: recovery stops at 3.
+  mem->remove(commit_marker_key(CheckpointStore::full_key(4)));
+  ASSERT_EQ(store->latest_full(), 0u);
+  expect_state_near(strategy.recover(h.spec), snapshots[3]);
 }
 
 TEST(NaiveDc, DiffRecordsAreLargerThanLowDiffPayloads) {

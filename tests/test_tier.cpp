@@ -23,6 +23,7 @@
 #include "optim/adam.h"
 #include "sim/cluster.h"
 #include "sim/failure.h"
+#include "storage/atomic_commit.h"
 #include "tensor/ops.h"
 #include "tier/placement.h"
 #include "tier/replicator.h"
@@ -363,6 +364,51 @@ TEST(TierRecovery, CorruptReplicaFallsBackAcrossTiersBitExactly) {
   // truncated, and the skips are visible in the tier metrics.
   EXPECT_TRUE(trained.bit_equal(recovered));
   EXPECT_EQ(report.corrupt_diffs_skipped, 0u);
+  EXPECT_EQ(report.final_iteration, 15u);
+  EXPECT_GE(counter("tier.ssd.s0.read_corrupt_total") - corrupt_before,
+            corrupted);
+  ASSERT_TRUE(report.read_sources.count("remote"));
+  EXPECT_GT(report.read_sources.at("remote").reads, 0u);
+}
+
+TEST(TierRecovery, CorruptMarkersFallBackAcrossTiersBitExactly) {
+  // The marker is the one record no marker vouches for: its own frame CRC
+  // must reject a bit flip, or the Replicator would serve the flipped
+  // marker from the fast tier and every record would read as corrupt.
+  const auto spec = spec_of(220);
+  auto topo = topo_of(2);
+  auto replicas = replicator_of(topo, "2@local,remote");
+  CheckpointStore store(replicas);
+  Adam adam;
+  TopKCompressor comp(0.1);
+  const auto trained =
+      train_with_reuse(store, spec, adam, comp, /*full_at=*/2, /*iters=*/16, 17);
+  ASSERT_TRUE(replicas->sync().ok());
+
+  // Flip one byte of the data CRC recorded in every marker on the fast tier.
+  auto* ssd = topo->find("ssd.s0");
+  ASSERT_NE(ssd, nullptr);
+  std::size_t corrupted = 0;
+  for (const auto& key : ssd->base->list()) {
+    if (!is_commit_marker(key)) continue;
+    auto marker = ssd->base->read(key);
+    ASSERT_TRUE(marker.ok());
+    auto bytes = std::move(marker).value();
+    ASSERT_FALSE(bytes.empty());
+    bytes.back() ^= std::byte{0x01};
+    ASSERT_TRUE(ssd->base->write(key, bytes).ok());
+    ++corrupted;
+  }
+  ASSERT_GT(corrupted, 0u);
+
+  const auto corrupt_before = counter("tier.ssd.s0.read_corrupt_total");
+  TierAwareRecoveryEngine engine(spec, adam.clone(), comp.clone());
+  RecoveryReport report;
+  const auto recovered = engine.recover(replicas, &report);
+
+  EXPECT_TRUE(trained.bit_equal(recovered));
+  EXPECT_EQ(report.corrupt_diffs_skipped, 0u);
+  EXPECT_EQ(report.corrupt_fulls_skipped, 0u);
   EXPECT_EQ(report.final_iteration, 15u);
   EXPECT_GE(counter("tier.ssd.s0.read_corrupt_total") - corrupt_before,
             corrupted);
