@@ -15,7 +15,6 @@
 #include "bench_util.h"
 #include "common/buffer_pool.h"
 #include "common/crc32.h"
-#include "common/thread_pool.h"
 #include "obs/datapath.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,14 +29,13 @@
 #include "storage/throttled.h"
 #include "common/rng.h"
 #include "compress/merge.h"
-#include "compress/quant8.h"
-#include "compress/randomk.h"
 #include "compress/topk.h"
 #include "model/model_state.h"
 #include "optim/adam.h"
 #include "queue/reusing_queue.h"
 #include "storage/serializer.h"
 #include "support/merge_pairwise.h"
+#include "support/topk_reference.h"
 #include "tensor/ops.h"
 
 namespace {
@@ -61,7 +59,8 @@ void BM_TopKCompress(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_TopKCompress)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
+// A small gradient, the livebench MLP's 100,752 parameters, and 2^20.
+BENCHMARK(BM_TopKCompress)->Arg(4096)->Arg(100752)->Arg(1 << 20);
 
 void BM_TopKDecompress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -131,7 +130,7 @@ void BM_MergeSparseSum(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeSparseSum)->Arg(1 << 20);
 
-// --- Parallel datapath (chunked compression, k-way merge, pooled I/O) -----
+// --- Datapath (k-way merge, pooled I/O) ------------------------------------
 
 std::vector<CompressedGrad> make_batch(std::size_t n, std::size_t count) {
   TopKCompressor comp(0.01);
@@ -143,23 +142,6 @@ std::vector<CompressedGrad> make_batch(std::size_t n, std::size_t count) {
   }
   return payloads;
 }
-
-void BM_TopKCompressParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const auto grad = random_tensor(n, 1);
-  ThreadPool pool(threads);
-  TopKCompressor comp(0.01);
-  comp.set_thread_pool(&pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(comp.compress(grad.cspan(), 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TopKCompressParallel)
-    ->Args({1 << 20, 8})
-    ->Args({1 << 22, 8});
 
 void BM_MergeSparseSumKWay(benchmark::State& state) {
   const auto payloads =
@@ -340,12 +322,12 @@ BENCHMARK(BM_ShardedFullCheckpoint);
 
 // --- Datapath verification gate -------------------------------------------
 //
-// Before the benchmark suite runs, prove on THIS machine that the parallel
-// datapath is bit-identical to the serial one, and measure the serial vs
-// parallel speedup in the same process.  CI runs `bench_micro --smoke
-// --json`; any mismatch exits nonzero and fails the build.  The speedups
-// land in the registry (datapath.verify.*) and therefore in
-// BENCH_micro.json.
+// Before the benchmark suite runs, prove on THIS machine that TopK and the
+// k-way merge are bit-identical to their references in tests/support, and
+// measure each reference's time against the program's in the same process.
+// CI runs `bench_micro --smoke --json`; any mismatch exits nonzero and
+// fails the build.  The speedups land in the registry (datapath.verify.*)
+// and therefore in BENCH_micro.json.
 
 template <typename F>
 double best_seconds(F&& f, int reps) {
@@ -362,9 +344,8 @@ double best_seconds(F&& f, int reps) {
 
 bool run_datapath_verification() {
   const bool smoke = lowdiff::bench::options().smoke;
-  // Acceptance sizes: n >= 2^22 at 8 threads, batches of B >= 16.  Smoke
-  // mode shrinks the arrays (CI checks bit-exactness, not rates) but keeps
-  // n above the parallel-path threshold so the chunked code actually runs.
+  // Acceptance sizes: n >= 2^22, batches of B >= 16.  Smoke mode shrinks
+  // the arrays (CI checks bit-exactness, not rates).
   const std::size_t n = smoke ? (std::size_t{1} << 18) : (std::size_t{1} << 22);
   const std::size_t batch_size = smoke ? 16 : 32;
   const int reps = smoke ? 1 : 3;
@@ -377,30 +358,15 @@ bool run_datapath_verification() {
     }
   };
 
-  ThreadPool pool2(2);
-  ThreadPool pool3(3);
-  ThreadPool pool8(8);
-  ThreadPool* pools[] = {&pool2, &pool3, &pool8};
-
-  // 1. Every compressor, every pool size, three seeds: byte-identical
+  // 1. TopK == the reference selection, three seeds: byte-identical
   //    serialized payloads.
+  TopKCompressor topk(0.01);
+  const std::size_t k = topk.k_for(n);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto grad = random_tensor(n, seed);
-    std::vector<std::unique_ptr<Compressor>> comps;
-    comps.push_back(std::make_unique<TopKCompressor>(0.01));
-    comps.push_back(std::make_unique<RandomKCompressor>(0.01, seed));
-    comps.push_back(std::make_unique<Quant8Compressor>());
-    for (auto& comp : comps) {
-      comp->set_thread_pool(nullptr);
-      const auto serial = comp->compress(grad.cspan(), seed).serialize();
-      for (ThreadPool* pool : pools) {
-        comp->set_thread_pool(pool);
-        const auto parallel = comp->compress(grad.cspan(), seed).serialize();
-        check(parallel == serial,
-              comp->name() + " parallel(" + std::to_string(pool->size()) +
-                  ") != serial, seed " + std::to_string(seed));
-      }
-    }
+    check(topk.compress(grad.cspan(), seed).serialize() ==
+              reference_topk(grad.cspan(), k, seed).serialize(),
+          "topk != reference selection, seed " + std::to_string(seed));
   }
 
   // 2. K-way merge == pairwise reference, byte for byte.
@@ -420,12 +386,9 @@ bool run_datapath_verification() {
 
   // 4. Speedups, measured in the same run that proved bit-exactness.
   const auto grad = random_tensor(n, 1);
-  TopKCompressor topk(0.01);
-  const double topk_serial =
-      best_seconds([&] { benchmark::DoNotOptimize(topk.compress(grad.cspan(), 0)); },
-                   reps);
-  topk.set_thread_pool(&pool8);
-  const double topk_parallel =
+  const double topk_reference = best_seconds(
+      [&] { benchmark::DoNotOptimize(reference_topk(grad.cspan(), k, 0)); }, reps);
+  const double topk_program =
       best_seconds([&] { benchmark::DoNotOptimize(topk.compress(grad.cspan(), 0)); },
                    reps);
   const double merge_pairwise = best_seconds(
@@ -434,7 +397,7 @@ bool run_datapath_verification() {
   const double merge_kway = best_seconds(
       [&] { benchmark::DoNotOptimize(merge_sparse_sum(payloads)); }, reps);
 
-  const double topk_speedup = topk_serial / topk_parallel;
+  const double topk_speedup = topk_reference / topk_program;
   const double merge_speedup = merge_pairwise / merge_kway;
 
   auto& reg = obs::Registry::global();
@@ -447,10 +410,10 @@ bool run_datapath_verification() {
 
   std::printf(
       "[datapath] verify %s  (n=%zu, B=%zu)\n"
-      "[datapath] topk  serial %.3f ms  parallel(8) %.3f ms  speedup %.2fx\n"
+      "[datapath] topk  reference %.3f ms  program %.3f ms  speedup %.2fx\n"
       "[datapath] merge pairwise %.3f ms  k-way %.3f ms  speedup %.2fx\n",
-      ok ? "OK" : "FAILED", n, batch_size, topk_serial * 1e3,
-      topk_parallel * 1e3, topk_speedup, merge_pairwise * 1e3,
+      ok ? "OK" : "FAILED", n, batch_size, topk_reference * 1e3,
+      topk_program * 1e3, topk_speedup, merge_pairwise * 1e3,
       merge_kway * 1e3, merge_speedup);
   return ok;
 }

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "compress/quant8.h"
 
 namespace lowdiff {
 namespace {
@@ -51,7 +52,10 @@ class Reader {
   template <typename T>
   std::vector<T> read_vec() {
     const auto n = read<std::uint64_t>();
-    LOWDIFF_ENSURE(pos_ + n * sizeof(T) <= bytes_.size(), "truncated compressed gradient");
+    // Divides rather than multiplies: n comes from the bytes and may be
+    // large enough for n * sizeof(T) to wrap.
+    LOWDIFF_ENSURE(n <= (bytes_.size() - pos_) / sizeof(T),
+                   "truncated compressed gradient");
     std::vector<T> v(n);
     if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -111,7 +115,10 @@ std::size_t CompressedGrad::serialize_into(std::span<std::byte> out) const {
 CompressedGrad CompressedGrad::deserialize(std::span<const std::byte> bytes) {
   Reader r(bytes);
   CompressedGrad g;
-  g.scheme = static_cast<CompressionScheme>(r.read<std::uint8_t>());
+  const auto scheme = r.read<std::uint8_t>();
+  LOWDIFF_ENSURE(scheme <= static_cast<std::uint8_t>(CompressionScheme::kQuant8),
+                 "unknown compression scheme");
+  g.scheme = static_cast<CompressionScheme>(scheme);
   g.dense_size = r.read<std::uint64_t>();
   g.iteration = r.read<std::uint64_t>();
   g.indices = r.read_vec<std::uint32_t>();
@@ -121,6 +128,22 @@ CompressedGrad CompressedGrad::deserialize(std::span<const std::byte> bytes) {
   LOWDIFF_ENSURE(r.exhausted(), "trailing bytes after compressed gradient");
   LOWDIFF_ENSURE(g.indices.size() == g.values.size() || g.indices.empty(),
                  "index/value count mismatch");
+  // The decoders index their output by these fields without a bounds check,
+  // so a payload no compressor writes must not get past here.
+  std::uint64_t floor = 0;  // the least index the next entry may hold
+  for (const std::uint32_t i : g.indices) {
+    LOWDIFF_ENSURE(i >= floor && i < g.dense_size,
+                   "sparse indices must ascend strictly below the dense size");
+    floor = std::uint64_t{i} + 1;
+  }
+  if (g.scheme == CompressionScheme::kDense) {
+    LOWDIFF_ENSURE(g.values.size() == g.dense_size, "dense value count mismatch");
+  } else if (g.scheme == CompressionScheme::kQuant8) {
+    constexpr std::size_t kBlock = Quant8Compressor::kBlock;
+    LOWDIFF_ENSURE(g.codes.size() == g.dense_size &&
+                       g.scales.size() == (g.codes.size() + kBlock - 1) / kBlock,
+                   "quantized code or scale count mismatch");
+  }
   return g;
 }
 

@@ -5,6 +5,8 @@
 /// deterministic for a given input (and iteration, for randomized schemes):
 /// every worker compresses the same synchronized gradient to the same
 /// payload, and recovery re-decompresses checkpointed payloads.
+/// compress() and decompress() are const and keep no scratch in the object,
+/// so the ranks may call one compressor at the same time.
 
 #include <memory>
 #include <span>
@@ -14,20 +16,9 @@
 
 namespace lowdiff {
 
-class ThreadPool;
-
 class Compressor {
  public:
   virtual ~Compressor() = default;
-
-  /// Attaches an optional worker pool for chunk-parallel compression;
-  /// nullptr restores the serial path.  The pool must outlive the
-  /// compressor.  Determinism contract: for a given input the payload is
-  /// bit-identical for every pool size, including none (DESIGN.md §6), so
-  /// workers with different pool configurations still agree.  Clones
-  /// inherit the pool.
-  void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
-  ThreadPool* thread_pool() const noexcept { return pool_; }
 
   /// Compresses a dense gradient.  `iteration` seeds randomized schemes and
   /// is recorded in the payload for recovery ordering.
@@ -45,9 +36,6 @@ class Compressor {
 
   virtual std::string name() const = 0;
   virtual std::unique_ptr<Compressor> clone() const = 0;
-
- private:
-  ThreadPool* pool_ = nullptr;
 };
 
 /// out += decompress(payload) without materializing a temporary dense

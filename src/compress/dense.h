@@ -35,9 +35,7 @@ class DenseCompressor final : public Compressor {
   double nominal_ratio() const override { return 1.0; }
   std::string name() const override { return "dense"; }
   std::unique_ptr<Compressor> clone() const override {
-    auto c = std::make_unique<DenseCompressor>();
-    c->set_thread_pool(thread_pool());
-    return c;
+    return std::make_unique<DenseCompressor>();
   }
 };
 

@@ -61,10 +61,14 @@ BatchedGrad BatchedGrad::deserialize(std::span<const std::byte> bytes) {
   out.first_iteration = read_u64();
   out.last_iteration = read_u64();
   const std::uint64_t count = read_u64();
+  // Every member has at least its length prefix, which bounds the count
+  // before it sizes an allocation.
+  LOWDIFF_ENSURE(count <= (bytes.size() - pos) / sizeof(std::uint64_t),
+                 "batch member count exceeds its bytes");
   out.members.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t len = read_u64();
-    LOWDIFF_ENSURE(pos + len <= bytes.size(), "truncated batch member");
+    LOWDIFF_ENSURE(len <= bytes.size() - pos, "truncated batch member");
     out.members.push_back(CompressedGrad::deserialize(bytes.subspan(pos, len)));
     pos += len;
   }

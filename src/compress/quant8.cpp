@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace lowdiff {
 
@@ -18,9 +17,7 @@ CompressedGrad Quant8Compressor::compress(std::span<const float> grad,
   out.scales.resize(blocks);
   out.codes.resize(grad.size());
 
-  // Blocks are independent (each writes its own scale slot and code range),
-  // so block-parallel execution is bit-identical to the serial loop.
-  auto quantize_block = [&](std::size_t b) {
+  for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t lo = b * kBlock;
     const std::size_t hi = std::min(grad.size(), lo + kBlock);
     float max_abs = 0.0f;
@@ -34,13 +31,6 @@ CompressedGrad Quant8Compressor::compress(std::span<const float> grad,
       const auto code = static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
       out.codes[i] = static_cast<std::uint8_t>(code);
     }
-  };
-
-  ThreadPool* pool = thread_pool();
-  if (pool != nullptr && pool->size() > 1 && blocks >= 64) {
-    pool->parallel_for(0, blocks, quantize_block);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) quantize_block(b);
   }
   return out;
 }

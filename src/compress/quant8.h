@@ -22,9 +22,7 @@ class Quant8Compressor final : public Compressor {
   }
   std::string name() const override { return "quant8"; }
   std::unique_ptr<Compressor> clone() const override {
-    auto c = std::make_unique<Quant8Compressor>();
-    c->set_thread_pool(thread_pool());
-    return c;
+    return std::make_unique<Quant8Compressor>();
   }
 };
 

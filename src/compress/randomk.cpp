@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace lowdiff {
 
@@ -42,15 +41,7 @@ CompressedGrad RandomKCompressor::compress(std::span<const float> grad,
 
   out.indices = std::move(picked);
   out.values.resize(k);
-  // Selection stays serial (Floyd's walk is inherently sequential); the
-  // value gather is order-independent, so it parallelizes bit-exactly.
-  ThreadPool* pool = thread_pool();
-  auto gather = [&](std::size_t i) { out.values[i] = grad[out.indices[i]]; };
-  if (pool != nullptr && pool->size() > 1 && k >= (std::size_t{1} << 15)) {
-    pool->parallel_for(0, k, gather);
-  } else {
-    for (std::size_t i = 0; i < k; ++i) gather(i);
-  }
+  for (std::size_t i = 0; i < k; ++i) out.values[i] = grad[out.indices[i]];
   return out;
 }
 

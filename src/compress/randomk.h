@@ -21,9 +21,7 @@ class RandomKCompressor final : public Compressor {
   double nominal_ratio() const override { return ratio_; }
   std::string name() const override;
   std::unique_ptr<Compressor> clone() const override {
-    auto c = std::make_unique<RandomKCompressor>(ratio_, seed_);
-    c->set_thread_pool(thread_pool());
-    return c;
+    return std::make_unique<RandomKCompressor>(ratio_, seed_);
   }
 
  private:

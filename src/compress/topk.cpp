@@ -1,35 +1,27 @@
 #include "compress/topk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <numeric>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace lowdiff {
 namespace {
 
-/// Below this size the chunked path cannot win: key packing + candidate
-/// compaction costs more than the serial nth_element saves.
-constexpr std::size_t kParallelThreshold = std::size_t{1} << 15;
-
-/// Packs the selection order into one integer so chunked selection is a
-/// plain u64 compare: high 32 bits are the magnitude bits of the float
-/// (sign cleared — for non-NaN values integer order on these bits equals
-/// fabs order), low 32 bits are ~index so that on equal magnitudes the
-/// LOWER index wins under descending key order.  This is the exact total
-/// order of the serial comparator below, and because a total order has a
-/// unique top-k set, any chunking of the selection produces bit-identical
-/// output.
+/// The float's bits with the sign cleared: for non-NaN values integer order
+/// on these bits equals fabs order.
 inline std::uint32_t mag_bits(float v) {
   std::uint32_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  return bits & 0x7FFFFFFFu;  // sign cleared: integer order == fabs order
+  return bits & 0x7FFFFFFFu;
 }
 
+/// The selection order as one integer: magnitude bits high, ~index low, so
+/// that descending key order is |v| descending with the LOWER index first
+/// on equal magnitudes.
 inline std::uint64_t pack_key(float v, std::uint32_t index) {
   return (static_cast<std::uint64_t>(mag_bits(v)) << 32) |
          static_cast<std::uint64_t>(~index);
@@ -39,106 +31,59 @@ inline std::uint32_t unpack_index(std::uint64_t key) {
   return ~static_cast<std::uint32_t>(key);
 }
 
-/// Histogram (radix) top-k selection, chunk-parallel.
+/// log2 of the histogram's bucket count for n floats: one bucket per two to
+/// four floats, from 2^8 buckets (the exponent alone) to 2^15 (128 KiB of
+/// counts, which stays in L2).  Steps at every power of two in between.
+int histogram_bits(std::size_t n) {
+  return std::clamp(static_cast<int>(std::bit_width(n)) - 2, 8, 15);
+}
+
+/// Histogram (radix) top-k selection in two linear passes.
 ///
-/// Two linear passes instead of an O(n) nth_element with its data
-/// movement: pass 1 histograms the magnitude's high 15 bits per chunk;
-/// the folded histogram locates the threshold bucket t such that buckets
-/// above t hold fewer than k entries but t's entries push past k.  Pass 2
-/// collects every index above t (already the top of the order) plus the
-/// full packed keys inside t, from which the remaining winners are picked
-/// by nth_element on that (normally tiny) bucket.
+/// Pass 1 counts every element into bucket mag_bits >> shift.  Walking the
+/// buckets down from the top finds the threshold bucket t: the buckets
+/// above it hold k_above < k entries, and t's entries reach k.  Pass 2
+/// collects every index above t (ascending, because the scan is) and the
+/// packed keys of t's entries, from which nth_element picks the k - k_above
+/// winners still owed.
 ///
-/// Selection operates on the pack_key total order (|v| descending, index
-/// ascending on ties) and a total order has a unique top-k set, so the
-/// result is bit-identical to select_serial for any chunk count.
-void select_chunked(std::span<const float> grad, std::size_t k,
-                    ThreadPool& pool, std::vector<std::uint32_t>& indices) {
-  const std::size_t n = grad.size();
-  const std::size_t chunks =
-      std::min<std::size_t>(pool.size(), (n + kParallelThreshold - 1) /
-                                             kParallelThreshold);
-  const std::size_t per = (n + chunks - 1) / chunks;
-  constexpr std::size_t kBuckets = std::size_t{1} << 15;  // mag_bits >> 16
+/// The bucket is monotone in the magnitude bits, so every entry above t
+/// precedes every entry of t in the pack_key total order, and a total order
+/// has exactly one top-k set: the bucket count changes speed, never output.
+void select_topk(std::span<const float> grad, std::size_t k,
+                 std::vector<std::uint32_t>& indices) {
+  const int bits = histogram_bits(grad.size());
+  const int shift = 31 - bits;
+  std::vector<std::uint32_t> hist(std::size_t{1} << bits, 0);
+  for (const float v : grad) ++hist[mag_bits(v) >> shift];
 
-  auto chunk_lo = [&](std::size_t c) { return std::min(n, c * per); };
-  auto chunk_hi = [&](std::size_t c) { return std::min(n, c * per + per); };
-
-  // Pass 1: per-chunk bucket counts.
-  std::vector<std::uint32_t> hist(chunks * kBuckets, 0);
-  pool.parallel_for(0, chunks, [&](std::size_t c) {
-    std::uint32_t* h = hist.data() + c * kBuckets;
-    const std::size_t hi = chunk_hi(c);
-    for (std::size_t i = chunk_lo(c); i < hi; ++i) {
-      ++h[mag_bits(grad[i]) >> 16];
-    }
-  });
-
-  // Threshold bucket: buckets above t hold k_above < k entries in total.
-  std::size_t t = 0, k_above = 0;
-  for (std::size_t b = kBuckets; b-- > 0;) {
-    std::size_t in_bucket = 0;
-    for (std::size_t c = 0; c < chunks; ++c) in_bucket += hist[c * kBuckets + b];
-    if (k_above + in_bucket >= k) {
-      t = b;
-      break;
-    }
-    k_above += in_bucket;
-  }
+  std::size_t t = hist.size(), k_above = 0;
+  while (k_above + hist[--t] < k) k_above += hist[t];
   const std::size_t need = k - k_above;  // winners still owed by bucket t
 
-  // Exact output slots per chunk from the histograms: indices above t land
-  // ascending (chunks are ordered, scans are ascending), no concatenation.
-  std::vector<std::size_t> above_off(chunks + 1, 0), t_off(chunks + 1, 0);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t above = 0;
-    for (std::size_t b = t + 1; b < kBuckets; ++b) above += hist[c * kBuckets + b];
-    above_off[c + 1] = above_off[c] + above;
-    t_off[c + 1] = t_off[c] + hist[c * kBuckets + t];
-  }
-
   indices.resize(k);
-  std::vector<std::uint64_t> tkeys(t_off[chunks]);
-  pool.parallel_for(0, chunks, [&](std::size_t c) {
-    std::uint32_t* above_out = indices.data() + above_off[c];
-    std::uint64_t* t_out = tkeys.data() + t_off[c];
-    const std::size_t hi = chunk_hi(c);
-    for (std::size_t i = chunk_lo(c); i < hi; ++i) {
-      const std::uint32_t bucket = mag_bits(grad[i]) >> 16;
-      if (bucket > t) {
-        *above_out++ = static_cast<std::uint32_t>(i);
-      } else if (bucket == t) {
-        *t_out++ = pack_key(grad[i], static_cast<std::uint32_t>(i));
-      }
+  std::vector<std::uint64_t> tkeys(hist[t]);
+  std::uint32_t* above = indices.data();
+  std::uint64_t* in_t = tkeys.data();
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    const std::uint32_t bucket = mag_bits(grad[i]) >> shift;
+    if (bucket > t) {
+      *above++ = static_cast<std::uint32_t>(i);
+    } else if (bucket == t) {
+      *in_t++ = pack_key(grad[i], static_cast<std::uint32_t>(i));
     }
-  });
+  }
 
   if (need < tkeys.size()) {
     std::nth_element(tkeys.begin(),
                      tkeys.begin() + static_cast<std::ptrdiff_t>(need) - 1,
                      tkeys.end(), std::greater<std::uint64_t>());
   }
-  for (std::size_t i = 0; i < need; ++i) {
-    indices[k_above + i] = unpack_index(tkeys[i]);
-  }
-  std::sort(indices.begin(), indices.end());  // ascending coordinates on the wire
-}
-
-void select_serial(std::span<const float> grad, std::size_t k,
-                   std::vector<std::uint32_t>& indices) {
-  indices.resize(grad.size());
-  std::iota(indices.begin(), indices.end(), 0u);
-  auto by_magnitude = [&grad](std::uint32_t a, std::uint32_t b) {
-    const float fa = std::fabs(grad[a]);
-    const float fb = std::fabs(grad[b]);
-    if (fa != fb) return fa > fb;
-    return a < b;  // deterministic tie-break
-  };
-  std::nth_element(indices.begin(),
-                   indices.begin() + static_cast<std::ptrdiff_t>(k) - 1,
-                   indices.end(), by_magnitude);
-  indices.resize(k);
-  std::sort(indices.begin(), indices.end());  // ascending coordinates on the wire
+  const auto tail = indices.begin() + static_cast<std::ptrdiff_t>(k_above);
+  for (std::size_t i = 0; i < need; ++i) tail[i] = unpack_index(tkeys[i]);
+  // Ascending coordinates on the wire: the indices above t already are.
+  std::sort(tail, indices.end());
+  std::inplace_merge(indices.begin(), tail, indices.end());
 }
 
 }  // namespace
@@ -162,20 +107,9 @@ CompressedGrad TopKCompressor::compress(std::span<const float> grad,
   const std::size_t k = k_for(grad.size());
   if (k == 0) return out;
 
-  ThreadPool* pool = thread_pool();
-  if (pool != nullptr && pool->size() > 1 && grad.size() >= 2 * kParallelThreshold) {
-    select_chunked(grad, k, *pool, out.indices);
-  } else {
-    select_serial(grad, k, out.indices);
-  }
-
+  select_topk(grad, k, out.indices);
   out.values.resize(k);
-  auto gather = [&](std::size_t i) { out.values[i] = grad[out.indices[i]]; };
-  if (pool != nullptr && pool->size() > 1 && k >= kParallelThreshold) {
-    pool->parallel_for(0, k, gather);
-  } else {
-    for (std::size_t i = 0; i < k; ++i) gather(i);
-  }
+  for (std::size_t i = 0; i < k; ++i) out.values[i] = grad[out.indices[i]];
   return out;
 }
 

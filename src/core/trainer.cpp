@@ -30,9 +30,6 @@ Trainer::Trainer(MlpConfig mlp_config, TrainerConfig config)
   LOWDIFF_ENSURE(optimizer_ != nullptr, "unknown optimizer kind");
   LOWDIFF_ENSURE(config_.world >= 1, "world must be >= 1");
   if (config_.rho <= 0.0) config_.compression = GradCompression::kDense;
-  if (config_.datapath_threads > 0) {
-    datapath_pool_ = std::make_unique<ThreadPool>(config_.datapath_threads);
-  }
   switch (config_.compression) {
     case GradCompression::kTopK:
       compressor_ = std::make_unique<TopKCompressor>(config_.rho);
@@ -48,8 +45,6 @@ Trainer::Trainer(MlpConfig mlp_config, TrainerConfig config)
       config_.rho = 0.0;
       break;
   }
-  // Clones (error-feedback per-rank compressors) inherit the pool.
-  compressor_->set_thread_pool(datapath_pool_.get());
   states_.reserve(config_.world);
   for (std::size_t r = 0; r < config_.world; ++r) {
     ModelState state(net_.spec());
@@ -149,38 +144,63 @@ TrainResult Trainer::run(std::uint64_t start_iter, std::uint64_t num_iters,
       }
       if (rank == 0) result.losses[i] = loss;
 
+      // One child span per stage (train.compress, train.allreduce,
+      // train.decompress, train.optim), so the trace shows which stage of
+      // the sync a slow iteration spent its time in.
       obs::TraceSpan sync_span(obs::Tracer::global(), "train.sync", "train");
       Stopwatch sync_sw;
       std::shared_ptr<const CompressedGrad> payload;
       if (config_.compression == GradCompression::kTopK ||
           config_.compression == GradCompression::kRandomK) {
         // Compress (optionally error-corrected), synchronize, average.
+        obs::TraceSpan compress_span("train.compress", "train");
         CompressedGrad local =
             feedback_[rank] != nullptr
                 ? feedback_[rank]->compress(grad.cspan(), iter)
                 : compressor_->compress(grad.cspan(), iter);
+        compress_span.finish();
+        obs::TraceSpan allreduce_span("train.allreduce", "train");
         CompressedGrad merged = comm.allreduce_sparse(rank, local);
         const float inv_world = 1.0f / static_cast<float>(config_.world);
         for (auto& v : merged.values) v *= inv_world;
+        allreduce_span.finish();
         merged.iteration = iter;
         payload = std::make_shared<const CompressedGrad>(std::move(merged));
+        obs::TraceSpan decompress_span("train.decompress", "train");
         compressor_->decompress(*payload, dense.span());
+        decompress_span.finish();
+        obs::TraceSpan optim_span("train.optim", "train");
         optimizer_->step(state, dense.cspan());
       } else if (config_.compression == GradCompression::kQuant8) {
         // Quantized regime: synchronize densely, quantize the synchronized
         // gradient (bit-identical on every rank), and train on the
         // *dequantized* values so recovery replays the exact update.
+        obs::TraceSpan allreduce_span("train.allreduce", "train");
         comm.allreduce_sum(rank, grad.span());
         ops::scale(grad.span(), 1.0f / static_cast<float>(config_.world));
+        allreduce_span.finish();
+        obs::TraceSpan compress_span("train.compress", "train");
         payload = std::make_shared<const CompressedGrad>(
             compressor_->compress(grad.cspan(), iter));
+        compress_span.finish();
+        obs::TraceSpan decompress_span("train.decompress", "train");
         compressor_->decompress(*payload, dense.span());
+        decompress_span.finish();
+        obs::TraceSpan optim_span("train.optim", "train");
         optimizer_->step(state, dense.cspan());
       } else {
+        obs::TraceSpan allreduce_span("train.allreduce", "train");
         comm.allreduce_sum(rank, grad.span());
         ops::scale(grad.span(), 1.0f / static_cast<float>(config_.world));
+        allreduce_span.finish();
+        obs::TraceSpan optim_span("train.optim", "train");
         optimizer_->step(state, grad.cspan());
+        optim_span.finish();
         if (rank == 0 && (strategy != nullptr || layerwise != nullptr)) {
+          // Rank 0's copy of the synchronized gradient for the strategy: a
+          // checkpoint cost that W/O CKPT never pays, timed in train.sync
+          // rather than in ckpt.stall.
+          LOWDIFF_TRACE_SPAN("train.compress", "train");
           DenseCompressor dense_comp;
           auto wrapped = dense_comp.compress(grad.cspan(), iter);
           payload = std::make_shared<const CompressedGrad>(std::move(wrapped));

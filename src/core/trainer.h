@@ -55,10 +55,6 @@ struct TrainerConfig {
   AdamConfig adam{};  ///< used when optimizer == kAdam
   SgdConfig sgd{};    ///< used when optimizer == kSgd
   std::uint64_t seed = 42;
-  /// Worker threads for the chunk-parallel compression datapath.  0 keeps
-  /// compression serial; any value produces bit-identical payloads (the
-  /// compressors' determinism contract), so this is purely a speed knob.
-  std::size_t datapath_threads = 0;
 };
 
 struct TrainResult {
@@ -111,9 +107,6 @@ class Trainer {
   MlpNet net_;
   TrainerConfig config_;
   SyntheticDataset dataset_;
-  /// Owned datapath pool (created when config.datapath_threads > 0).
-  /// Declared before compressor_ so it outlives every compressor clone.
-  std::unique_ptr<ThreadPool> datapath_pool_;
   std::unique_ptr<Compressor> compressor_;
   std::vector<ModelState> states_;
   std::vector<std::unique_ptr<ErrorFeedback>> feedback_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "compress/compressed_grad.h"
@@ -344,6 +345,58 @@ TEST(CompressedGrad, IndexValueCountMismatchRejected) {
   g.values = {1.0f};  // mismatch
   const auto bytes = g.serialize();
   EXPECT_THROW(CompressedGrad::deserialize(bytes), Error);
+}
+
+TEST(CompressedGrad, PayloadsNoCompressorWritesRejected) {
+  // Each decodes field by field, but its decompress() would index out of
+  // bounds or mistake the scheme.
+  CompressedGrad sparse;
+  sparse.scheme = CompressionScheme::kRandomK;
+  sparse.dense_size = 10;
+  sparse.indices = {1, 4, 9};
+  sparse.values = {1.0f, 2.0f, 3.0f};
+  ASSERT_EQ(CompressedGrad::deserialize(sparse.serialize()), sparse);
+
+  std::vector<CompressedGrad> bad(5, sparse);
+  bad[0].indices.back() = 10;  // == dense_size
+  bad[1].indices = {1, 4, 4};  // repeated
+  bad[2].indices = {4, 1, 9};  // descending
+  bad[3].scheme = CompressionScheme::kDense;
+  bad[3].indices.clear();      // 3 values for a dense size of 10
+  bad[4] = Quant8Compressor().compress(std::vector<float>(300, 1.0f), 0);
+  bad[4].scales.pop_back();    // 300 codes need 2 block scales
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(CompressedGrad::deserialize(bad[i].serialize()), Error) << i;
+  }
+
+  auto unknown = sparse.serialize();
+  unknown[0] = std::byte{4};  // the scheme byte
+  EXPECT_THROW(CompressedGrad::deserialize(unknown), Error);
+}
+
+TEST(CompressedGrad, LengthPrefixThatWrapsRejected) {
+  // 2^62 four-byte indices: the byte count wraps to 0 in 64 bits.
+  auto bytes = CompressedGrad{}.serialize();
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + 17, &huge, sizeof(huge));  // after scheme, size, iteration
+  EXPECT_THROW(CompressedGrad::deserialize(bytes), Error);
+}
+
+TEST(BatchedGrad, CountsAndLengthsBeyondItsBytesRejected) {
+  BatchedGrad batch;
+  batch.first_iteration = batch.last_iteration = 3;
+  batch.members.push_back(TopKCompressor(0.5).compress(std::vector<float>{1, 2, 3, 4}, 3));
+  const auto good = batch.serialize();
+  ASSERT_EQ(BatchedGrad::deserialize(good).members, batch.members);
+
+  // Offsets: first, last, count, then the member's length prefix.
+  for (const auto& [offset, value] :
+       {std::pair<std::size_t, std::uint64_t>{16, std::uint64_t{1} << 62},
+        {24, ~std::uint64_t{0} - 7}}) {
+    auto bytes = good;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    EXPECT_THROW(BatchedGrad::deserialize(bytes), Error) << "offset " << offset;
+  }
 }
 
 TEST(Quant8, ExtremeValuesClampToCodeRange) {

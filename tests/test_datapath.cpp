@@ -1,31 +1,31 @@
 /// \file test_datapath.cpp
-/// The parallel zero-copy checkpoint datapath's correctness contract:
-/// chunk-parallel compression is bit-identical to serial for every pool
-/// size, the k-way merge reproduces the pairwise reference byte for byte,
-/// pooled serialization emits the exact stream the vector forms do, and
-/// BufferPool/ByteBuffer obey their lifetime and aliasing rules.
+/// The zero-copy checkpoint datapath's correctness contract: TopK selects
+/// exactly the reference selection's set on every shape and tie pattern,
+/// one compressor is safe to call from every rank at once, the k-way merge
+/// reproduces the pairwise reference byte for byte, pooled serialization
+/// emits the exact stream the vector forms do, and BufferPool/ByteBuffer
+/// obey their lifetime and aliasing rules.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "compress/dense.h"
 #include "compress/merge.h"
 #include "compress/quant8.h"
-#include "compress/randomk.h"
 #include "compress/topk.h"
-#include "core/trainer.h"
 #include "model/model_state.h"
 #include "storage/async_writer.h"
 #include "storage/mem_storage.h"
 #include "storage/serializer.h"
 #include "support/merge_pairwise.h"
+#include "support/topk_reference.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -39,10 +39,10 @@ Tensor random_tensor(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-/// Many repeated magnitudes — the adversarial case for top-k selection,
-/// where the index tie-break decides the winning set.
+/// Many repeated magnitudes, -0.0 among them — the adversarial case for
+/// top-k selection, where the index tie-break decides the winning set.
 Tensor tie_heavy_tensor(std::size_t n, std::uint64_t seed) {
-  static constexpr float kLevels[] = {0.0f, 0.5f, -0.5f, 1.0f, -1.0f, 2.0f};
+  static constexpr float kLevels[] = {0.0f, -0.0f, 0.5f, -0.5f, 1.0f, -1.0f, 2.0f};
   Tensor t(n);
   Xoshiro256 rng(seed);
   auto s = t.span();
@@ -52,116 +52,84 @@ Tensor tie_heavy_tensor(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-std::vector<std::unique_ptr<Compressor>> all_compressors(std::uint64_t seed) {
-  std::vector<std::unique_ptr<Compressor>> comps;
-  comps.push_back(std::make_unique<TopKCompressor>(0.01));
-  comps.push_back(std::make_unique<RandomKCompressor>(0.01, seed));
-  comps.push_back(std::make_unique<Quant8Compressor>());
-  comps.push_back(std::make_unique<DenseCompressor>());
-  return comps;
+/// Normal values scaled by 2^-130: every |v| < 16 becomes subnormal (below
+/// 2^-126), and the lost precision makes many magnitudes equal.
+Tensor subnormal_tensor(std::size_t n, std::uint64_t seed) {
+  Tensor t = random_tensor(n, seed);
+  for (float& v : t.span()) v = std::ldexp(v, -130);
+  return t;
 }
 
-// The chunk-parallel path engages at n >= 2 * 32768; both sizes below and
-// above, odd on purpose so chunk boundaries never divide evenly.
-constexpr std::size_t kSmallN = 4097;
-constexpr std::size_t kLargeN = (std::size_t{1} << 17) + 1;  // 131073
+/// Normal values with about one in 64 replaced by +inf or -inf: at ρ = 0.01
+/// every winner is infinite and ties by index, at larger ρ the threshold
+/// falls among the finite values.
+Tensor infinite_tensor(std::size_t n, std::uint64_t seed) {
+  Tensor t = random_tensor(n, seed);
+  Xoshiro256 rng(seed + 1000);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (float& v : t.span()) {
+    if (rng.uniform_below(64) == 0) v = rng.uniform_below(2) == 0 ? kInf : -kInf;
+  }
+  return t;
+}
 
-TEST(ParallelCompress, BitIdenticalForEveryPoolSize) {
-  ThreadPool pool1(1), pool2(2), pool3(3), pool8(8);
-  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool3, &pool8};
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    for (std::size_t n : {kSmallN, kLargeN}) {
-      const auto grad = random_tensor(n, seed);
-      for (auto& comp : all_compressors(seed)) {
-        comp->set_thread_pool(nullptr);
-        const auto serial = comp->compress(grad.cspan(), seed);
-        const auto serial_bytes = serial.serialize();
-        for (ThreadPool* pool : pools) {
-          comp->set_thread_pool(pool);
-          const auto parallel = comp->compress(grad.cspan(), seed);
-          EXPECT_EQ(parallel, serial)
-              << comp->name() << " n=" << n << " seed=" << seed
-              << " pool=" << (pool ? pool->size() : 0);
-          EXPECT_EQ(parallel.serialize(), serial_bytes);
-        }
-      }
+/// The fixed shapes, then one n on each side of every step of the
+/// histogram's size (powers of two from 2^10 to 2^16).
+std::vector<std::size_t> topk_sizes() {
+  std::vector<std::size_t> sizes = {1, 2, 7, 4096, 4097, 100752, 131073};
+  for (std::size_t m = 10; m <= 16; ++m) {
+    sizes.push_back((std::size_t{1} << m) - 1);
+    sizes.push_back(std::size_t{1} << m);
+  }
+  return sizes;
+}
+
+void expect_topk_matches_reference(Tensor (*make)(std::size_t, std::uint64_t),
+                                   const char* input) {
+  for (const double rho : {0.01, 0.05, 1.0}) {
+    const TopKCompressor comp(rho);
+    for (const std::size_t n : topk_sizes()) {
+      const auto grad = make(n, n + 7);
+      const auto expected = reference_topk(grad.cspan(), comp.k_for(n), 3);
+      const auto actual = comp.compress(grad.cspan(), 3);
+      ASSERT_EQ(actual.indices, expected.indices)
+          << input << " n=" << n << " rho=" << rho;
+      EXPECT_EQ(actual.serialize(), expected.serialize())
+          << input << " n=" << n << " rho=" << rho;
     }
   }
 }
 
-TEST(ParallelCompress, TopKTieHeavyInputIsDeterministic) {
-  // With thousands of equal magnitudes the selected set is decided purely
-  // by the index tie-break; every chunking must agree with serial.
-  ThreadPool pool2(2), pool8(8);
-  const auto grad = tie_heavy_tensor(kLargeN, 11);
-  TopKCompressor comp(0.05);
-  const auto serial = comp.compress(grad.cspan(), 0);
-  for (ThreadPool* pool : {&pool2, &pool8}) {
-    comp.set_thread_pool(pool);
-    EXPECT_EQ(comp.compress(grad.cspan(), 0), serial)
-        << "pool=" << pool->size();
-  }
+TEST(ParallelCompress, TopKMatchesReference) {
+  expect_topk_matches_reference(random_tensor, "normal");
+  expect_topk_matches_reference(subnormal_tensor, "subnormal");
+  expect_topk_matches_reference(infinite_tensor, "infinite");
 }
 
-TEST(ParallelCompress, CloneInheritsThreadPool) {
-  ThreadPool pool(4);
-  TopKCompressor comp(0.01);
-  comp.set_thread_pool(&pool);
-  const auto clone = comp.clone();
-  EXPECT_EQ(clone->thread_pool(), &pool);
-  comp.set_thread_pool(nullptr);
-  EXPECT_EQ(comp.clone()->thread_pool(), nullptr);
-  // Clone with a pool still matches the serial payload.
-  const auto grad = random_tensor(kLargeN, 5);
-  EXPECT_EQ(clone->compress(grad.cspan(), 7),
-            comp.compress(grad.cspan(), 7));
+TEST(ParallelCompress, TopKTieHeavyInputIsDeterministic) {
+  // With thousands of equal magnitudes the selected set is decided purely
+  // by the index tie-break, and -0.0 must tie +0.0.
+  expect_topk_matches_reference(tie_heavy_tensor, "tie-heavy");
 }
 
 TEST(ParallelCompress, ConcurrentCompressIsSafe) {
-  // One compressor + one pool shared across caller threads (the trainer's
-  // per-rank clones share the datapath pool).  TSan target.
-  ThreadPool pool(4);
-  TopKCompressor comp(0.01);
-  comp.set_thread_pool(&pool);
-  const auto grad = random_tensor(kLargeN, 3);
-  comp.set_thread_pool(nullptr);
-  const auto serial = comp.compress(grad.cspan(), 0);
-  comp.set_thread_pool(&pool);
+  // One compressor shared across caller threads, as the trainer's ranks
+  // share it.  TSan target.
+  const TopKCompressor comp(0.01);
+  const auto grad = random_tensor(131073, 3);
+  const auto expected = reference_topk(grad.cspan(), comp.k_for(grad.size()), 0);
   std::vector<std::thread> callers;
   std::vector<int> ok(4, 0);
   for (int t = 0; t < 4; ++t) {
     callers.emplace_back([&, t] {
       for (int rep = 0; rep < 3; ++rep) {
-        if (!(comp.compress(grad.cspan(), 0) == serial)) return;
+        if (!(comp.compress(grad.cspan(), 0) == expected)) return;
       }
       ok[static_cast<std::size_t>(t)] = 1;
     });
   }
   for (auto& c : callers) c.join();
   for (int v : ok) EXPECT_EQ(v, 1);
-}
-
-TEST(ParallelCompress, TrainerDatapathThreadsDoNotChangeTraining) {
-  // datapath_threads is a speed knob only: the trained state must be
-  // bit-identical with and without the pool.
-  MlpConfig mlp;
-  mlp.input_dim = 16;
-  mlp.hidden = {24};
-  mlp.num_classes = 4;
-  TrainerConfig base;
-  base.world = 2;
-  base.rho = 0.05;
-  base.compression = GradCompression::kTopK;
-  TrainerConfig pooled = base;
-  pooled.datapath_threads = 2;
-
-  Trainer serial(mlp, base);
-  Trainer parallel(mlp, pooled);
-  const auto serial_result = serial.run(0, 4, nullptr);
-  const auto parallel_result = parallel.run(0, 4, nullptr);
-  EXPECT_EQ(serial_result.losses, parallel_result.losses);
-  EXPECT_EQ(serialize_model_state(serial.state(0)),
-            serialize_model_state(parallel.state(0)));
 }
 
 // --- K-way merge ----------------------------------------------------------

@@ -276,5 +276,32 @@ TEST(ObsEndToEnd, TraceSpansReconstructTrainerStallWithinFivePercent) {
   tracer.clear();
 }
 
+TEST(ObsEndToEnd, TrainSyncSplitsIntoStageSpans) {
+  auto& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+
+  TrainerConfig cfg;
+  cfg.world = 2;
+  cfg.batch_size = 16;
+  cfg.rho = 0.05;
+  cfg.compression = GradCompression::kTopK;
+  cfg.seed = 22;
+  Trainer trainer(tiny_mlp(), cfg);
+  trainer.run(0, 10, nullptr);
+  tracer.set_enabled(false);
+
+  // The stages nest inside train.sync and never overlap each other.
+  double stages_us = 0.0;
+  for (const char* name :
+       {"train.compress", "train.allreduce", "train.decompress", "train.optim"}) {
+    const double total_us = tracer.span_total_us(name);
+    EXPECT_GT(total_us, 0.0) << name;
+    stages_us += total_us;
+  }
+  EXPECT_LE(stages_us, tracer.span_total_us("train.sync"));
+  tracer.clear();
+}
+
 }  // namespace
 }  // namespace lowdiff

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <optional>
 
 #include "common/logging.h"
@@ -15,6 +16,7 @@
 #include "sim/cluster.h"
 #include "storage/atomic_commit.h"
 #include "storage/mem_storage.h"
+#include "storage/serializer.h"
 #include "support/writer_schedule.h"
 #include "tensor/ops.h"
 #include "tier/placement.h"
@@ -377,6 +379,82 @@ INSTANTIATE_TEST_SUITE_P(RecordSizes, MissingDifferential,
                            return info.param == 1 ? std::string("PerIteration")
                                                   : std::string("BatchesOf3");
                          });
+
+/// A committed record in place of the one holding iteration 15, framed and
+/// checksummed correctly, but holding a payload no compressor writes.
+enum class Undecodable {
+  kIndexBeyondDenseSize,  ///< diff/15, its last index == dense_size
+  kUnknownScheme,         ///< diff/15, scheme byte 4
+  kBatchCountBeyondBytes, ///< batch/15_17, member count 2^62
+};
+
+class UndecodableDifferential : public ::testing::TestWithParam<Undecodable> {};
+
+TEST_P(UndecodableDifferential, ReadsAsCorruptedAndEndsTheChain) {
+  const Undecodable fault = GetParam();
+  const bool batched = fault == Undecodable::kBatchCountBeyondBytes;
+  const auto spec = spec_of(240);
+  TopKCompressor comp(0.1);
+  set_log_level(LogLevel::kOff);  // recovery logs the record
+
+  Adam adam;
+  CheckpointStore store(std::make_shared<MemStorage>());
+  const auto states = train_lowdiff_shaped(store, spec, adam, comp, batched ? 3 : 1);
+
+  const CheckpointStore::DiffRecord record =
+      batched ? CheckpointStore::DiffRecord{15, 17, CheckpointStore::batch_key(15, 17)}
+              : CheckpointStore::DiffRecord{15, 15, CheckpointStore::diff_key(15)};
+  BatchedGrad batch;
+  batch.first_iteration = record.first;
+  batch.last_iteration = record.last;
+  batch.members = *store.try_read_diffs(record);
+  std::vector<std::byte> bytes;
+  if (batched) {
+    bytes = batch.serialize();
+    const std::uint64_t count = std::uint64_t{1} << 62;
+    std::memcpy(bytes.data() + 16, &count, sizeof(count));
+    bytes = frame(RecordType::kBatchedDiff, bytes);
+  } else {
+    CompressedGrad& payload = batch.members.front();
+    if (fault == Undecodable::kIndexBeyondDenseSize) {
+      payload.indices.back() = static_cast<std::uint32_t>(payload.dense_size);
+    }
+    bytes = payload.serialize();
+    if (fault == Undecodable::kUnknownScheme) bytes[0] = std::byte{4};
+    bytes = frame(RecordType::kDiffCheckpoint, bytes);
+  }
+  ASSERT_TRUE(store.put_raw(record.key, bytes).ok());
+  EXPECT_EQ(store.try_read_diffs(record).status().code(), ErrorCode::kCorrupted);
+
+  RecoveryEngine engine(spec, adam.clone(), comp.clone());
+  ThreadPool pool(3);
+  RecoveryReport serial_report, parallel_report;
+  const ModelState recovered[] = {
+      engine.recover_serial(store, &serial_report),
+      engine.recover_parallel(store, pool, &parallel_report)};
+  const RecoveryReport* reports[] = {&serial_report, &parallel_report};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("path " + std::to_string(i));
+    EXPECT_EQ(reports[i]->final_iteration, 14u);
+    EXPECT_EQ(reports[i]->diffs_replayed, 4u);
+    EXPECT_EQ(reports[i]->corrupt_diffs_skipped, record.last - record.first + 1);
+    EXPECT_TRUE(recovered[i].bit_equal(states[14]));
+  }
+  set_log_level(LogLevel::kWarn);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, UndecodableDifferential,
+    ::testing::Values(Undecodable::kIndexBeyondDenseSize, Undecodable::kUnknownScheme,
+                      Undecodable::kBatchCountBeyondBytes),
+    [](const auto& info) {
+      switch (info.param) {
+        case Undecodable::kIndexBeyondDenseSize: return std::string("IndexBeyondDenseSize");
+        case Undecodable::kUnknownScheme: return std::string("UnknownScheme");
+        case Undecodable::kBatchCountBeyondBytes: return std::string("BatchCountBeyondBytes");
+      }
+      return std::string("?");
+    });
 
 /// Counts list() and read() calls on their way to the wrapped backend.
 class CountingStorage final : public test_support::ForwardingStorage {
