@@ -27,7 +27,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "sim/cluster.h"
-#include "tier/chaos.h"
+#include "support/chaos.h"
 
 namespace {
 

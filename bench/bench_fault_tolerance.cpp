@@ -18,7 +18,7 @@
 #include "storage/atomic_commit.h"
 #include "storage/fault_injection.h"
 #include "storage/mem_storage.h"
-#include "tier/chaos.h"
+#include "support/chaos.h"
 #include "tier/health.h"
 #include "tier/replicator.h"
 #include "tier/topology.h"

@@ -103,6 +103,20 @@ LoadedRecord load_record(const CheckpointStore& store,
   return {std::move(payloads), sw.elapsed_sec()};
 }
 
+/// Decompresses `payload` into `dense` if it fits the engine: its
+/// dense_size is the model's, and the engine's compressor reads its scheme.
+/// A payload that does not fit ends the chain, like an undecodable record.
+bool decompress_if_fits(const Compressor& compressor,
+                        const CompressedGrad& payload, std::span<float> dense) {
+  if (payload.dense_size != dense.size()) return false;
+  try {
+    compressor.decompress(payload, dense);
+  } catch (const Error&) {
+    return false;  // a scheme this compressor does not read
+  }
+  return true;
+}
+
 /// One replayed optimizer step.  On a pool the step is split by coordinate:
 /// the replay thread and idle workers apply slices of kReplaySlice
 /// coordinates concurrently, then the step counter advances once.
@@ -165,9 +179,9 @@ ModelState RecoveryEngine::walk(const CheckpointStore& store, ThreadPool* pool,
   }
 
   // Replay the contiguous chain base+1, base+2, ...  The first unreadable
-  // record or missing iteration ends it; later records are still read so
-  // every corrupt one is counted.  The reads were queued first, so they
-  // stay ahead of the replay's slices in the pool queue.
+  // record, missing iteration or payload that does not fit ends it; later
+  // records are still read so every corrupt one is counted.  The reads were
+  // queued first, so they stay ahead of the replay's slices in the pool queue.
   LOWDIFF_TRACE_SPAN("recovery.replay", "recovery");
   Tensor dense(spec_.param_count());
   std::uint64_t next = base + 1, corrupt = 0;
@@ -194,10 +208,18 @@ ModelState RecoveryEngine::walk(const CheckpointStore& store, ThreadPool* pool,
         ended = true;
         break;
       }
+      if (!decompress_if_fits(*compressor_, payload, dense.span())) {
+        LOWDIFF_LOG_ERROR("differential for iteration ", next, " in ",
+                          record.key, " does not fit this model (",
+                          to_string(payload.scheme), ", ", payload.dense_size,
+                          " coordinates); replay ends at iteration ", next - 1);
+        ++corrupt;
+        ended = true;
+        break;
+      }
       if (chain != nullptr) {
         chain->push_back(std::move(payload));
       } else {
-        compressor_->decompress(payload, dense.span());
         replay_step(*optimizer_, state, dense.cspan(), pool);
       }
       ++next;

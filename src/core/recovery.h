@@ -26,7 +26,9 @@
 /// The chain must be contiguous: replay starts at the iteration after the
 /// base and ends at the first iteration no readable record holds — a
 /// record that fails its CRC/decode, or one that never committed (a hole
-/// left by a failed write).  Payloads at or before the last replayed
+/// left by a failed write) — or whose payload does not fit the engine: a
+/// dense_size other than the model's, or a scheme the engine's compressor
+/// rejects.  Payloads at or before the last replayed
 /// iteration (a batch straddling the base, an iteration held twice) are
 /// skipped.  The records after the end are still read so the report counts
 /// every corrupt one.  A corrupt full checkpoint causes fallback to the
@@ -61,7 +63,8 @@ struct RecoveryReport {
   std::uint64_t final_iteration = 0;  ///< last iteration of the replayed chain
   std::uint64_t diffs_replayed = 0;
   std::uint64_t merge_rounds = 0;     ///< parallel pairwise merge rounds
-  /// Iterations after the base held by records that failed CRC/decoding.
+  /// Iterations after the base held by records that failed CRC/decoding,
+  /// plus the payload that did not fit the engine, if one ended the chain.
   std::uint64_t corrupt_diffs_skipped = 0;
   std::uint64_t corrupt_fulls_skipped = 0;  ///< fulls rejected before base
   std::uint64_t retries = 0;  ///< storage retries during recovery reads
@@ -113,8 +116,10 @@ class RecoveryEngine {
   /// The one recovery walk (see the file comment).  Record reads run on
   /// `pool` ahead of the replay when it is given, inline otherwise.  The
   /// chain's payloads are moved into `chain` when it is given; otherwise
-  /// each is decompressed into one scratch tensor and stepped through the
-  /// optimizer, in iteration order — sliced across `pool` when it is given.
+  /// each is stepped through the optimizer, in iteration order — sliced
+  /// across `pool` when it is given.  Either way each payload is first
+  /// decompressed into one scratch tensor, which is how a payload that
+  /// does not fit the engine is found.
   ModelState walk(const CheckpointStore& store, ThreadPool* pool,
                   std::vector<CompressedGrad>* chain,
                   RecoveryReport* report) const;

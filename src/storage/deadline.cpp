@@ -11,31 +11,6 @@ DeadlineStorage::DeadlineStorage(std::shared_ptr<StorageBackend> inner,
   LOWDIFF_ENSURE(inner_ != nullptr, "null inner backend");
 }
 
-void DeadlineStorage::set_spec(DeadlineSpec spec) {
-  std::lock_guard lock(spec_mutex_);
-  spec_ = spec;
-}
-
-DeadlineSpec DeadlineStorage::spec() const {
-  std::lock_guard lock(spec_mutex_);
-  return spec_;
-}
-
-double DeadlineStorage::deadline_for_write() const {
-  std::lock_guard lock(spec_mutex_);
-  return spec_.write_deadline_sec;
-}
-
-double DeadlineStorage::deadline_for_read() const {
-  std::lock_guard lock(spec_mutex_);
-  return spec_.read_deadline_sec;
-}
-
-double DeadlineStorage::deadline_for_sync() const {
-  std::lock_guard lock(spec_mutex_);
-  return spec_.sync_deadline_sec;
-}
-
 Status DeadlineStorage::timed_out(const char* op, const std::string& key,
                                   double elapsed, double deadline) const {
   timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -48,7 +23,7 @@ Status DeadlineStorage::timed_out(const char* op, const std::string& key,
 
 Status DeadlineStorage::write(const std::string& key,
                               std::span<const std::byte> bytes) {
-  const double deadline = deadline_for_write();
+  const double deadline = spec_.write_deadline_sec;
   if (deadline <= 0.0) return inner_->write(key, bytes);
   Stopwatch sw;
   const Status st = inner_->write(key, bytes);
@@ -59,7 +34,7 @@ Status DeadlineStorage::write(const std::string& key,
 
 Result<std::vector<std::byte>> DeadlineStorage::read(
     const std::string& key) const {
-  const double deadline = deadline_for_read();
+  const double deadline = spec_.read_deadline_sec;
   if (deadline <= 0.0) return inner_->read(key);
   Stopwatch sw;
   auto result = inner_->read(key);
@@ -84,7 +59,7 @@ std::vector<std::string> DeadlineStorage::list() const {
 StorageStats DeadlineStorage::stats() const { return inner_->stats(); }
 
 Status DeadlineStorage::sync() {
-  const double deadline = deadline_for_sync();
+  const double deadline = spec_.sync_deadline_sec;
   if (deadline <= 0.0) return inner_->sync();
   Stopwatch sw;
   const Status st = inner_->sync();

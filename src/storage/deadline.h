@@ -22,12 +22,12 @@
 /// The wrapper is synchronous (it cannot abort an in-flight call — the
 /// backends here are in-process), so it detects lateness rather than
 /// enforcing cancellation; the circuit breaker above it is what stops the
-/// next call from paying the same price.
+/// next call from paying the same price.  The deadlines are fixed at
+/// construction, so an op reads them without a lock.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "storage/backend.h"
 
@@ -57,10 +57,6 @@ class DeadlineStorage final : public StorageBackend {
   StorageStats stats() const override;
   Status sync() override;
 
-  /// Runtime-adjustable (chaos scenarios tighten/relax deadlines mid-run).
-  void set_spec(DeadlineSpec spec);
-  DeadlineSpec spec() const;
-
   /// Operations converted to kTimeout so far (reads + writes + syncs).
   std::uint64_t timeouts() const {
     return timeouts_.load(std::memory_order_relaxed);
@@ -69,15 +65,11 @@ class DeadlineStorage final : public StorageBackend {
   StorageBackend& inner() { return *inner_; }
 
  private:
-  double deadline_for_write() const;
-  double deadline_for_read() const;
-  double deadline_for_sync() const;
   Status timed_out(const char* op, const std::string& key, double elapsed,
                    double deadline) const;
 
   std::shared_ptr<StorageBackend> inner_;
-  mutable std::mutex spec_mutex_;
-  DeadlineSpec spec_;
+  const DeadlineSpec spec_;
   mutable std::atomic<std::uint64_t> timeouts_{0};
 };
 

@@ -8,6 +8,12 @@ namespace lowdiff::tier {
 
 namespace {
 
+// Breaker thresholds (the lifecycle in health.h).
+constexpr std::uint32_t kSuspectAfter = 2;  ///< weighted failures: -> Suspect
+constexpr std::uint32_t kOpenAfter = 4;     ///< weighted failures: -> Open
+constexpr std::uint32_t kCloseAfter = 2;    ///< successes in a row: -> Healthy
+constexpr std::uint32_t kHardFailureWeight = 2;
+
 double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -43,13 +49,7 @@ TierHealthMonitor::TierHealthMonitor(HealthOptions options)
       failures_transient_total_(obs::Registry::global().counter(
           "tier.health.failures_transient_total")),
       failures_hard_total_(obs::Registry::global().counter(
-          "tier.health.failures_hard_total")) {
-  LOWDIFF_ENSURE(options_.open_after >= options_.suspect_after,
-                 "open_after must be >= suspect_after");
-  LOWDIFF_ENSURE(options_.close_after > 0, "close_after must be positive");
-  LOWDIFF_ENSURE(options_.hard_failure_weight > 0,
-                 "hard_failure_weight must be positive");
-}
+          "tier.health.failures_hard_total")) {}
 
 TierHealthMonitor::Entry& TierHealthMonitor::entry_locked(
     const std::string& target) {
@@ -86,9 +86,9 @@ void TierHealthMonitor::on_failure_locked(const std::string& target, Entry& e,
     case TargetHealth::kHealthy:
     case TargetHealth::kSuspect:
       e.failure_score += weight;
-      if (e.failure_score >= options_.open_after) {
+      if (e.failure_score >= kOpenAfter) {
         transition_locked(target, e, TargetHealth::kOpen);
-      } else if (e.failure_score >= options_.suspect_after) {
+      } else if (e.failure_score >= kSuspectAfter) {
         transition_locked(target, e, TargetHealth::kSuspect);
       }
       break;
@@ -110,7 +110,7 @@ void TierHealthMonitor::on_success_locked(const std::string& target,
       break;
     case TargetHealth::kSuspect:
     case TargetHealth::kHalfOpen:
-      if (++e.success_streak >= options_.close_after) {
+      if (++e.success_streak >= kCloseAfter) {
         transition_locked(target, e, TargetHealth::kHealthy);
       }
       break;
@@ -120,7 +120,7 @@ void TierHealthMonitor::on_success_locked(const std::string& target,
       if (now() - e.opened_at >= options_.open_cooldown_sec) {
         transition_locked(target, e, TargetHealth::kHalfOpen);
         ++e.success_streak;
-        if (e.success_streak >= options_.close_after) {
+        if (e.success_streak >= kCloseAfter) {
           transition_locked(target, e, TargetHealth::kHealthy);
         }
       }
@@ -168,7 +168,7 @@ void TierHealthMonitor::record_failure(const std::string& target,
       break;
     case FailureClass::kHard:
       failures_hard_total_.add(1);
-      weight = options_.hard_failure_weight;
+      weight = kHardFailureWeight;
       break;
   }
   std::lock_guard lock(mutex_);
@@ -196,10 +196,6 @@ void TierHealthMonitor::reset(const std::string& target) {
   auto it = entries_.find(target);
   if (it == entries_.end()) return;
   transition_locked(target, it->second, TargetHealth::kHealthy);
-}
-
-std::uint64_t TierHealthMonitor::transitions() const {
-  return transitions_total_.value();
 }
 
 std::uint64_t TierHealthMonitor::short_circuits() const {

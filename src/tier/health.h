@@ -11,18 +11,18 @@
 /// per-operation outcomes and runs each target through the classic breaker
 /// lifecycle:
 ///
-///     Healthy --(failures >= suspect_after)--> Suspect
-///     Suspect --(failures >= open_after)-----> Open       [breaker trips]
-///     Open    --(cooldown elapses)-----------> HalfOpen   [one probe admitted]
-///     HalfOpen --(close_after successes)-----> Healthy
-///     HalfOpen --(any failure)---------------> Open       [cooldown restarts]
-///     Suspect --(close_after successes)------> Healthy
+///     Healthy --(weighted failures >= 2)--> Suspect
+///     Suspect --(weighted failures >= 4)--> Open       [breaker trips]
+///     Open    --(cooldown elapses)--------> HalfOpen   [one probe admitted]
+///     HalfOpen --(2 successes)------------> Healthy
+///     HalfOpen --(any failure)------------> Open       [cooldown restarts]
+///     Suspect --(2 successes)-------------> Healthy
 ///
-/// Failure *classification* matters: a timeout (DeadlineStorage) or
-/// transient error is a soft signal worth `1`, while a hard failure
-/// (kUnavailable / kCorrupted / kExhausted) jumps the count by
-/// `hard_failure_weight` — one declared-dead response trips a Suspect
-/// target immediately under the defaults.
+/// The thresholds are constants (health.cpp); only the cooldown is an
+/// option.  Failure *classification* matters: a timeout (DeadlineStorage)
+/// or transient error is a soft signal worth 1, while a hard failure
+/// (kUnavailable / kCorrupted / kExhausted) is worth 2 — one declared-dead
+/// response trips a Suspect target immediately.
 ///
 /// While a breaker is Open, admit() rejects without touching the device and
 /// the caller surfaces ErrorCode::kCircuitOpen — deliberately
@@ -67,7 +67,7 @@ inline const char* to_string(TargetHealth h) {
 enum class FailureClass : std::uint8_t {
   kTimeout,    ///< deadline exceeded (outcome ambiguous) — soft, weight 1
   kTransient,  ///< transient I/O error — soft, weight 1
-  kHard,       ///< unavailable / corrupted / exhausted — weight hard_failure_weight
+  kHard,       ///< unavailable / corrupted / exhausted — weight 2
 };
 
 /// Maps a failed operation's code to its breaker weight class.  kNotFound
@@ -76,11 +76,7 @@ enum class FailureClass : std::uint8_t {
 FailureClass classify_failure(ErrorCode code);
 
 struct HealthOptions {
-  std::uint32_t suspect_after = 2;  ///< weighted failures: Healthy -> Suspect
-  std::uint32_t open_after = 4;     ///< weighted failures: -> Open
-  std::uint32_t close_after = 2;    ///< consecutive successes: -> Healthy
-  double open_cooldown_sec = 0.5;   ///< Open dwell before a probe is admitted
-  std::uint32_t hard_failure_weight = 2;
+  double open_cooldown_sec = 0.5;  ///< Open dwell before a probe is admitted
   /// Monotone seconds source.  Tests inject a stepped fake; null means
   /// std::chrono::steady_clock.
   std::function<double()> clock;
@@ -116,7 +112,6 @@ class TierHealthMonitor {
   /// hardware); unknown names are a no-op.
   void reset(const std::string& target);
 
-  std::uint64_t transitions() const;
   std::uint64_t short_circuits() const;
   std::uint64_t probes() const;
 

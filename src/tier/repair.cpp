@@ -45,8 +45,6 @@ QuorumRepairEngine::QuorumRepairEngine(std::shared_ptr<TierTopology> topology,
                  "repair budget must be positive");
 }
 
-QuorumRepairEngine::~QuorumRepairEngine() { stop(); }
-
 QuorumRepairEngine::Pass QuorumRepairEngine::run_once() {
   LOWDIFF_TRACE_SPAN("tier.repair", "tier");
   static thread_local RepairObs robs = RepairObs::resolve();
@@ -228,33 +226,6 @@ bool QuorumRepairEngine::repair_until_quorum(std::size_t max_passes) {
     if (pass.copies == 0 && !pass.budget_exhausted) return false;
   }
   return false;
-}
-
-void QuorumRepairEngine::start() {
-  std::lock_guard lock(mutex_);
-  if (running_) return;
-  running_ = true;
-  sweeper_ = std::thread([this] { loop(); });
-}
-
-void QuorumRepairEngine::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (!running_) return;
-    running_ = false;
-  }
-  cv_.notify_all();
-  if (sweeper_.joinable()) sweeper_.join();
-}
-
-void QuorumRepairEngine::loop() {
-  std::unique_lock lock(mutex_);
-  while (running_) {
-    lock.unlock();
-    run_once();
-    lock.lock();
-    cv_.wait_for(lock, options_.interval, [this] { return !running_; });
-  }
 }
 
 }  // namespace lowdiff::tier

@@ -21,17 +21,14 @@
 /// copy fails CRC validation is counted unrepairable and left for
 /// recovery-time truncation.
 ///
-/// run_once() is the deterministic unit tests/benches drive; start()
-/// spawns the background sweeper.  repair_until_quorum() loops passes
-/// until nothing is under-replicated (the chaos harness's "quorum restored
-/// within a budgeted window" assertion counts these passes).
+/// run_once() is one budgeted pass, on the caller's thread, whenever the
+/// caller decides (the chaos harness runs passes around each domain loss).
+/// repair_until_quorum() loops passes until nothing is under-replicated
+/// (the chaos harness's "quorum restored within a budgeted window"
+/// assertion counts these passes).
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "tier/replicator.h"
 
@@ -45,8 +42,6 @@ struct QuorumRepairOptions {
   /// always allowed (a budget smaller than one record must still make
   /// progress).
   std::uint64_t budget_bytes_per_pass = 8ull << 20;
-  /// Background sweep cadence for start().
-  std::chrono::milliseconds interval{200};
 };
 
 class QuorumRepairEngine {
@@ -58,7 +53,6 @@ class QuorumRepairEngine {
   /// pays the same modeled link costs as checkpoint I/O).
   QuorumRepairEngine(std::shared_ptr<TierTopology> topology,
                      Replicator& replicator, Options options = {});
-  ~QuorumRepairEngine();
 
   struct Pass {
     std::size_t scanned = 0;            ///< data records examined
@@ -84,22 +78,12 @@ class QuorumRepairEngine {
   /// spent.  Returns true when quorum is fully restored.
   bool repair_until_quorum(std::size_t max_passes);
 
-  void start();
-  void stop();
-
   const Options& options() const { return options_; }
 
  private:
-  void loop();
-
   std::shared_ptr<TierTopology> topology_;
   Replicator& replicator_;
   Options options_;
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool running_ = false;
-  std::thread sweeper_;
 };
 
 }  // namespace lowdiff::tier

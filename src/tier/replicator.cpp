@@ -1,12 +1,9 @@
 #include "tier/replicator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
-#include <thread>
 
 #include "common/error.h"
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/atomic_commit.h"
@@ -14,6 +11,11 @@
 namespace lowdiff::tier {
 
 namespace {
+
+/// Each lane writer's queue bound.
+constexpr std::size_t kWriterQueueDepth = 64;
+/// Stream base for the lane writers' jitter RNGs (lane i uses it + i).
+constexpr std::uint64_t kLaneSeedBase = 0x5e1f43a1;
 
 /// Aliveness gate: every operation against a tier whose failure domain is
 /// down fails with kUnavailable, even when raced by in-flight replica jobs.
@@ -130,17 +132,13 @@ struct ReplicationObs {
   obs::Counter& degraded_total;
   obs::Counter& replica_jobs_total;
   obs::Counter& best_effort_total;
-  obs::Counter& block_waits_total;
-  obs::Counter& failfast_total;
 
   static ReplicationObs resolve() {
     auto& reg = obs::Registry::global();
     return ReplicationObs{reg.counter("tier.replication.records_total"),
                           reg.counter("tier.replication.degraded_total"),
                           reg.counter("tier.replication.replica_jobs_total"),
-                          reg.counter("tier.replication.best_effort_total"),
-                          reg.counter("tier.replication.block_waits_total"),
-                          reg.counter("tier.replication.failfast_total")};
+                          reg.counter("tier.replication.best_effort_total")};
   }
 };
 
@@ -148,11 +146,8 @@ struct ReplicationObs {
 
 struct Replicator::Lane {
   TierTarget* target;
-  /// Stack, outermost first: io = Monitored(Deadline(Gated(backend))).
-  /// All traffic goes through `io`; the inner handles exist only to keep
-  /// the layers alive and runtime-tunable.
-  std::shared_ptr<GatedBackend> gated;
-  std::shared_ptr<DeadlineStorage> deadline;
+  /// All traffic goes through Monitored(Deadline(Gated(backend))), which
+  /// owns the layers beneath it.
   std::shared_ptr<MonitoredBackend> io;
   std::unique_ptr<AsyncWriter> writer;
   obs::Counter& writes_total;
@@ -165,21 +160,21 @@ struct Replicator::Lane {
       std::shared_ptr<StorageBackend> backend, const ReplicatorOptions& opt,
       std::size_t lane_index) {
     AsyncWriter::Options w;
-    w.max_pending = opt.writer_queue_depth;
+    w.max_pending = kWriterQueueDepth;
     w.retry = opt.replica_retry;
     // Distinct stream per lane: decorrelated jitter, still a pure function
-    // of (replica_retry.seed, seed, lane_index).
-    w.seed = opt.seed + lane_index;
+    // of (replica_retry.seed, lane_index).
+    w.seed = kLaneSeedBase + lane_index;
     return std::make_unique<AsyncWriter>(std::move(backend), w);
   }
 
   Lane(TierTopology* topo, TierTarget* t, const ReplicatorOptions& opt,
        std::size_t lane_index)
       : target(t),
-        gated(std::make_shared<GatedBackend>(topo, t)),
-        deadline(std::make_shared<DeadlineStorage>(gated, opt.deadline)),
-        io(std::make_shared<MonitoredBackend>(deadline, t->name,
-                                              opt.health.get())),
+        io(std::make_shared<MonitoredBackend>(
+            std::make_shared<DeadlineStorage>(
+                std::make_shared<GatedBackend>(topo, t), opt.deadline),
+            t->name, opt.health.get())),
         writer(make_writer(io, opt, lane_index)),
         writes_total(obs::Registry::global().counter("tier." + t->name +
                                                      ".writes_total")),
@@ -234,52 +229,21 @@ Status Replicator::write(const std::string& key,
   LOWDIFF_TRACE_SPAN("tier.replicate", "tier");
   static thread_local ReplicationObs robs = ReplicationObs::resolve();
 
-  auto admitted_plan = [&] {
-    PlacementPlan plan = policy_.plan(*topology_, options_.origin_server);
-    std::erase_if(plan.targets, [&](const TierTarget* t) {
-      return !lane_admitted(*t);
-    });
-    return plan;
-  };
-  PlacementPlan plan = admitted_plan();
-  const std::size_t quorum = policy_.quorum();
-
-  if (plan.targets.size() < quorum) {
-    switch (options_.degrade) {
-      case DegradeMode::kFailFast:
-        robs.failfast_total.add();
-        return Status(ErrorCode::kUnavailable,
-                      "quorum unreachable for " + key + ": " +
-                          std::to_string(plan.targets.size()) + "/" +
-                          std::to_string(quorum) + " targets admitted");
-      case DegradeMode::kBlock: {
-        // Bounded stall: poll placement until quorum returns.  Breakers
-        // half-open and domains restore asynchronously, so replanning is
-        // the only way to notice.
-        robs.block_waits_total.add();
-        Stopwatch sw;
-        while (sw.elapsed_sec() < options_.block_timeout_sec) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(options_.block_poll_sec));
-          plan = admitted_plan();
-          if (plan.targets.size() >= quorum) break;
-        }
-        break;  // timed out: fall through to best-effort
-      }
-      case DegradeMode::kBestEffort:
-        break;
-    }
-  }
+  PlacementPlan plan = policy_.plan(*topology_, options_.origin_server);
+  std::erase_if(plan.targets,
+                [&](const TierTarget* t) { return !lane_admitted(*t); });
   if (plan.targets.empty()) {
     return Status(ErrorCode::kUnavailable,
                   "no admitted tier target to place " + key);
   }
+  const std::size_t quorum = policy_.quorum();
 
   robs.records_total.add();
   if (plan.degraded) robs.degraded_total.add();
   if (plan.targets.size() < quorum) {
-    // Proceeding under-quorum: count it and remember the record so the
-    // repair engine (or a later refresh) can confirm when it catches up.
+    // Best effort under quorum: write what is admitted, count it and
+    // remember the record so the repair engine (or a later refresh) can
+    // confirm when it catches up.
     robs.best_effort_total.add();
     if (!is_commit_marker(key)) note_lag(key);
   }

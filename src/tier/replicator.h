@@ -25,13 +25,14 @@
 /// CheckpointStore manifests, strategies, AsyncWriter, RecoveryEngine —
 /// routes through placement unchanged.
 ///
-/// With a TierHealthMonitor attached (Options::health), every lane is
-/// additionally wrapped in a per-op deadline and a circuit breaker: ops
+/// Every lane op runs under Options::deadline (DeadlineStorage; disabled by
+/// default).  With a TierHealthMonitor attached (Options::health), ops
 /// against an Open lane short-circuit with non-retryable kCircuitOpen
-/// before touching the device, sick lanes are excluded from placement and
-/// read candidacy, and writes that cannot reach quorum degrade per
-/// Options::degrade (best-effort with lag tracking, bounded block, or
-/// fail-fast).  See DESIGN.md §9.
+/// before touching the device, and sick lanes are excluded from placement
+/// and read candidacy.  A write that cannot reach quorum goes to the
+/// targets that are admitted, and its key joins the lag set until repair
+/// restores the quorum; a write with no admitted target is refused with
+/// kUnavailable.  See DESIGN.md §9.
 
 #include <map>
 #include <memory>
@@ -58,37 +59,14 @@ struct SourceTotals {
   std::uint64_t corrupt = 0;
 };
 
-/// What a write does when the placement quorum is not currently reachable
-/// (dead domains plus open breakers leave fewer than `quorum` admitted
-/// targets).  DESIGN.md §9.3.
-enum class DegradeMode : std::uint8_t {
-  /// Write to whatever is reachable, record the key as durability-lagging
-  /// (gauge `tier.replication.durability_lag_records`), and let the repair
-  /// engine restore quorum in the background.  Training never stalls.
-  kBestEffort,
-  /// Poll placement until quorum returns or `block_timeout_sec` elapses,
-  /// then fall back to best-effort.  Bounds the durability gap at the cost
-  /// of (bounded) stall.
-  kBlock,
-  /// Refuse the write with kUnavailable, touching no tier.  For jobs where
-  /// an under-replicated checkpoint is worse than no checkpoint.
-  kFailFast,
-};
-
 /// Namespace-scope (not nested) so it can default-construct as a `= {}`
 /// default argument inside the class body.
 struct ReplicatorOptions {
   std::size_t origin_server = 0;  ///< placement origin (this rank's server)
-  std::size_t writer_queue_depth = 64;
-  /// Retry schedule for async replica jobs.  Its seed (satellite of
-  /// RetryPolicy::make_rng) plus `seed` below fully determine every
-  /// jitter draw, so replicated runs are reproducible under `ctest -j`.
+  /// Retry schedule for async replica jobs.  Its seed (RetryPolicy::make_rng)
+  /// and the lane index fully determine every jitter draw, so replicated
+  /// runs are reproducible under `ctest -j`.
   RetryPolicy replica_retry;
-  /// Stream base for per-lane writer jitter RNGs (lane i uses seed + i).
-  std::uint64_t seed = 0x5e1f43a1;
-  DegradeMode degrade = DegradeMode::kBestEffort;
-  double block_timeout_sec = 0.25;  ///< kBlock: max wait for quorum
-  double block_poll_sec = 1e-3;     ///< kBlock: replan interval
   /// Per-op deadlines applied to every lane (0 = disabled).  Timeouts are
   /// surfaced as kTimeout and classified as soft failures by `health`.
   DeadlineSpec deadline;
@@ -137,7 +115,7 @@ class Replicator final : public StorageBackend {
   /// the first attempt).
   std::uint64_t writer_retries() const;
 
-  // --- degraded-durability accounting (DegradeMode::kBestEffort) -----------
+  // --- degraded-durability accounting --------------------------------------
   /// Data keys written without a reachable quorum, not yet repaired.
   std::vector<std::string> lagging_keys() const;
   /// Drops one key from the lag set (the repair engine calls this after
@@ -152,7 +130,7 @@ class Replicator final : public StorageBackend {
   }
 
  private:
-  struct Lane;  // one tier target: gated+deadline+monitored stack + writer
+  struct Lane;  // one tier target: its monitored backend stack + writer
 
   Lane& lane_of(const TierTarget& target) const;
   /// Alive, breaker-readable lanes, fastest read bandwidth first.

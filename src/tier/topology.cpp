@@ -7,58 +7,34 @@ namespace lowdiff::tier {
 std::shared_ptr<TierTopology> TierTopology::for_cluster(
     const sim::ClusterSpec& cluster, const SimOptions& opts) {
   auto topo = std::make_shared<TierTopology>();
-  const std::size_t servers = cluster.servers();
-  std::size_t tier_index = 0;
-  auto faults_for = [&](std::size_t index) {
-    FaultSpec spec = opts.faults;
+  auto add = [&](std::string name, TierKind kind, std::size_t domain,
+                 const LinkSpec& link, double read_bytes_per_sec) {
+    FaultSpec faults = opts.faults;
     // Decorrelate the per-tier fault streams; same seed => same topology.
-    spec.seed = SplitMix64(opts.faults.seed ^ (0x7137u + index)).next();
-    return spec;
-  };
-  for (std::size_t s = 0; s < servers; ++s) {
-    if (opts.local_ssd) {
-      TierTarget t;
-      t.name = "ssd.s" + std::to_string(s);
-      t.kind = TierKind::kLocalSsd;
-      t.failure_domain = s;
-      auto stack = make_stacked_backend(cluster.storage, faults_for(tier_index++),
-                                        opts.time_scale, t.name);
-      t.backend = stack.root;
-      t.base = stack.base;
-      t.faults = stack.faults;
-      t.read_bytes_per_sec = cluster.storage_read_bytes_per_sec;
-      t.volatile_storage = false;
-      topo->add(std::move(t));
-    }
-    if (opts.peer_memory) {
-      TierTarget t;
-      t.name = "mem.s" + std::to_string(s);
-      t.kind = TierKind::kPeerMemory;
-      t.failure_domain = s;
-      auto stack = make_stacked_backend(cluster.network, faults_for(tier_index++),
-                                        opts.time_scale, t.name);
-      t.backend = stack.root;
-      t.base = stack.base;
-      t.faults = stack.faults;
-      t.read_bytes_per_sec = cluster.network.bytes_per_sec;
-      t.volatile_storage = true;
-      topo->add(std::move(t));
-    }
-  }
-  if (opts.remote_shared) {
+    faults.seed =
+        SplitMix64(opts.faults.seed ^ (0x7137u + topo->size())).next();
+    auto stack = make_stacked_backend(link, faults, opts.time_scale, name);
     TierTarget t;
-    t.name = "remote";
-    t.kind = TierKind::kRemoteShared;
-    t.failure_domain = kSharedDomain;
-    const LinkSpec link = links::remote_storage();
-    auto stack = make_stacked_backend(link, faults_for(tier_index++),
-                                      opts.time_scale, t.name);
+    t.name = std::move(name);
+    t.kind = kind;
+    t.failure_domain = domain;
     t.backend = stack.root;
     t.base = stack.base;
     t.faults = stack.faults;
-    t.read_bytes_per_sec = link.bytes_per_sec;
-    t.volatile_storage = false;
+    t.read_bytes_per_sec = read_bytes_per_sec;
+    t.volatile_storage = kind == TierKind::kPeerMemory;  // RAM dies with it
     topo->add(std::move(t));
+  };
+  for (std::size_t s = 0; s < cluster.servers(); ++s) {
+    add("ssd.s" + std::to_string(s), TierKind::kLocalSsd, s, cluster.storage,
+        cluster.storage_read_bytes_per_sec);
+    add("mem.s" + std::to_string(s), TierKind::kPeerMemory, s, cluster.network,
+        cluster.network.bytes_per_sec);
+  }
+  if (opts.remote_shared) {
+    const LinkSpec link = links::remote_storage();
+    add("remote", TierKind::kRemoteShared, kSharedDomain, link,
+        link.bytes_per_sec);
   }
   return topo;
 }

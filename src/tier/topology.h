@@ -67,16 +67,15 @@ struct TierTarget {
   bool volatile_storage = false;
 };
 
-/// Knobs for for_cluster()-built topologies.  (Namespace-scope rather than
+/// Knobs for for_cluster()-built topologies, which always build every
+/// server's local-SSD and peer-memory tiers.  (Namespace-scope rather than
 /// nested so it can serve as a `= {}` default argument inside TierTopology —
 /// a nested class's default member initializers are only parsed once the
 /// enclosing class is complete.)
 struct TierSimOptions {
   double time_scale = 1.0;  ///< shared wall-clock scale for all throttles
   FaultSpec faults;         ///< applied per tier (seed decorrelated)
-  bool peer_memory = true;
-  bool local_ssd = true;
-  bool remote_shared = true;
+  bool remote_shared = true;  ///< also build the shared remote store
 };
 
 /// The set of tier targets plus which failure domains are currently down.

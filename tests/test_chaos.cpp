@@ -2,20 +2,19 @@
 /// Self-healing replication runtime (DESIGN.md §9): breaker state machines
 /// and failure classification, deadline-to-timeout conversion, the
 /// short-circuit proof (retry counter flat while a breaker is open),
-/// breaker-aware read routing, the three quorum-degradation policies,
-/// budgeted online quorum repair, the M/G/∞ repair-overlap model, and the
-/// randomized chaos campaign's bit-exact-recovery acceptance bar.
+/// breaker-aware read routing, best-effort writes under quorum and the
+/// refusal when no target is admitted, budgeted online quorum repair, the
+/// M/G/∞ repair-overlap model, and the randomized chaos campaign's
+/// bit-exact-recovery acceptance bar.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -28,12 +27,12 @@
 #include "optim/adam.h"
 #include "sim/cluster.h"
 #include "sim/failure.h"
+#include "support/chaos.h"
 #include "support/kill_points.h"
 #include "storage/atomic_commit.h"
 #include "storage/deadline.h"
 #include "storage/fault_injection.h"
 #include "storage/mem_storage.h"
-#include "tier/chaos.h"
 #include "tier/health.h"
 #include "tier/placement.h"
 #include "tier/repair.h"
@@ -374,27 +373,29 @@ TEST(Breaker, ReadSkipsOpenLaneWithoutConsumingCrcFallback) {
   EXPECT_EQ(totals.count("ssd.s0"), 0u);  // open lane absent from totals
 }
 
-// --- quorum degradation policies ---------------------------------------------
+// --- quorum degradation ------------------------------------------------------
 
-TEST(Degrade, FailFastRefusesWithoutTouchingAnyTier) {
+TEST(Degrade, EveryDomainDownRefusesWithoutTouchingAnyTier) {
   auto topo = topo_of(2);
   tier::ReplicatorOptions opts;
   opts.origin_server = 0;
-  opts.degrade = tier::DegradeMode::kFailFast;
   auto rep = std::make_shared<Replicator>(
       topo, PlacementPolicy::parse("2@local,peer"), opts);
 
-  topo->fail_domain(1);  // only ssd.s0 remains admissible: 1 < quorum 2
-  const auto failfast0 = counter("tier.replication.failfast_total");
+  // No admitted target at all: best effort has nowhere to write.
+  topo->fail_domain(0);
+  topo->fail_domain(1);
+  const auto records0 = counter("tier.replication.records_total");
   const Status st = rep->write("full/000007", payload_of(128));
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(counter("tier.replication.failfast_total"), failfast0 + 1);
+  EXPECT_EQ(counter("tier.replication.records_total"), records0);
   rep->flush();
   for (std::size_t i = 0; i < topo->size(); ++i) {
     EXPECT_FALSE(topo->target(i).base->exists("full/000007"))
         << topo->target(i).name;
   }
+  EXPECT_TRUE(rep->lagging_keys().empty());
 }
 
 TEST(Degrade, BestEffortLagsThenRepairRestoresQuorum) {
@@ -403,7 +404,6 @@ TEST(Degrade, BestEffortLagsThenRepairRestoresQuorum) {
   tier::ReplicatorOptions opts;
   opts.origin_server = 0;
   opts.health = health;
-  opts.degrade = tier::DegradeMode::kBestEffort;
   auto rep = std::make_shared<Replicator>(
       topo, PlacementPolicy::parse("2@local,peer"), opts);
 
@@ -429,53 +429,6 @@ TEST(Degrade, BestEffortLagsThenRepairRestoresQuorum) {
   EXPECT_TRUE(rep->durable("full/000003"));
   EXPECT_TRUE(rep->lagging_keys().empty());
   EXPECT_EQ(gauge("tier.replication.durability_lag_records"), 0.0);
-}
-
-TEST(Degrade, BlockWaitsBoundedUntilQuorumReturns) {
-  auto topo = topo_of(2);
-  tier::ReplicatorOptions opts;
-  opts.origin_server = 0;
-  opts.degrade = tier::DegradeMode::kBlock;
-  opts.block_timeout_sec = 2.0;
-  opts.block_poll_sec = 1e-3;
-  auto rep = std::make_shared<Replicator>(
-      topo, PlacementPolicy::parse("2@local,peer"), opts);
-
-  topo->fail_domain(1);
-  const auto waits0 = counter("tier.replication.block_waits_total");
-  std::thread restorer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    topo->restore_domain(1);
-  });
-  const auto start = std::chrono::steady_clock::now();
-  const Status st = rep->write("full/000009", payload_of(128));
-  const auto waited = std::chrono::steady_clock::now() - start;
-  restorer.join();
-
-  EXPECT_TRUE(st.ok());
-  EXPECT_GE(waited, std::chrono::milliseconds(20));  // actually blocked
-  EXPECT_LT(waited, std::chrono::seconds(2));        // and not to timeout
-  EXPECT_EQ(counter("tier.replication.block_waits_total"), waits0 + 1);
-  rep->flush();
-  // The write that unblocked went to the full quorum.
-  EXPECT_TRUE(topo->find("ssd.s0")->base->exists("full/000009"));
-  EXPECT_TRUE(topo->find("mem.s1")->base->exists("full/000009"));
-
-  // Timeout path: quorum never returns, the write falls back to
-  // best-effort rather than blocking forever.
-  topo->fail_domain(1);
-  rep = std::make_shared<Replicator>(
-      topo, PlacementPolicy::parse("2@local,peer"),
-      [&] {
-        auto o = opts;
-        o.block_timeout_sec = 0.02;
-        return o;
-      }());
-  const Status fallback = rep->write("full/000011", payload_of(128));
-  EXPECT_TRUE(fallback.ok());
-  const auto lagging = rep->lagging_keys();
-  EXPECT_NE(std::find(lagging.begin(), lagging.end(), "full/000011"),
-            lagging.end());
 }
 
 // --- budgeted quorum repair --------------------------------------------------

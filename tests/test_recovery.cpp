@@ -456,6 +456,69 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("?");
     });
 
+/// A committed differential that decodes but does not fit the engine.
+enum class Misfit {
+  kDenseSizeMismatch,  ///< dense_size 241 on a 240-parameter model, index 240
+  kOtherScheme,        ///< a dense payload for a top-k engine
+};
+
+class MisfitDifferential : public ::testing::TestWithParam<Misfit> {};
+
+TEST_P(MisfitDifferential, CountsAsCorruptAndEndsTheChain) {
+  // The base at iteration 0, then one differential every entry point must
+  // refuse to replay: it would throw in decompress, or write past the end
+  // of the parameters in the additive apply.
+  const auto spec = spec_of(240);
+  TopKCompressor comp(0.1);
+  set_log_level(LogLevel::kOff);  // recovery logs the payload
+
+  CheckpointStore store(std::make_shared<MemStorage>());
+  ModelState base(spec);
+  base.init_random(5);
+  ASSERT_TRUE(store.put_full(0, base).ok());
+
+  CompressedGrad payload;
+  if (GetParam() == Misfit::kDenseSizeMismatch) {
+    Tensor grad(spec.param_count() + 1);
+    Xoshiro256 rng(9);
+    ops::fill_normal(grad.span(), rng, 0.5f);
+    grad.span()[240] = 100.0f;  // the largest, so top-k keeps index 240
+    payload = comp.compress(grad.cspan(), 1);
+    ASSERT_EQ(payload.indices.back(), 240u);
+  } else {
+    Tensor grad(spec.param_count());
+    payload = DenseCompressor().compress(grad.cspan(), 1);
+  }
+  ASSERT_TRUE(store.put_diff(payload).ok());
+  ASSERT_TRUE(store.try_read_diffs({1, 1, CheckpointStore::diff_key(1)}).ok());
+
+  const SgdConfig sgd_cfg{.lr = 0.05f, .momentum = 0.0f};
+  RecoveryEngine engine(spec, std::make_unique<Sgd>(sgd_cfg), comp.clone());
+  ThreadPool pool(3);
+  RecoveryReport reports[3];
+  const ModelState recovered[] = {
+      engine.recover_serial(store, &reports[0]),
+      engine.recover_parallel(store, pool, &reports[1]),
+      engine.recover_parallel_additive(store, pool, sgd_cfg.lr, &reports[2])};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("path " + std::to_string(i));
+    EXPECT_EQ(reports[i].final_iteration, 0u);
+    EXPECT_EQ(reports[i].diffs_replayed, 0u);
+    EXPECT_EQ(reports[i].corrupt_diffs_skipped, 1u);
+    EXPECT_TRUE(recovered[i].bit_equal(base));
+  }
+  set_log_level(LogLevel::kWarn);
+}
+
+INSTANTIATE_TEST_SUITE_P(Payloads, MisfitDifferential,
+                         ::testing::Values(Misfit::kDenseSizeMismatch,
+                                           Misfit::kOtherScheme),
+                         [](const auto& info) {
+                           return info.param == Misfit::kDenseSizeMismatch
+                                      ? std::string("DenseSizeMismatch")
+                                      : std::string("OtherScheme");
+                         });
+
 /// Counts list() and read() calls on their way to the wrapped backend.
 class CountingStorage final : public test_support::ForwardingStorage {
  public:
