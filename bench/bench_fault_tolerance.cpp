@@ -7,6 +7,8 @@
 /// throwing; every corrupt record encountered must be CRC-detected and
 /// degraded around (skipped diffs / older full), never silently consumed.
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "bench_util.h"
@@ -54,6 +56,58 @@ RetryPolicy fast_policy() {
   return p;
 }
 
+// The timing tables write over a fixed set of keys, so every timed write
+// overwrites an object of the same size instead of paying page faults and
+// map growth for a new one.
+constexpr int kTimingKeys = 64;
+constexpr std::size_t kTimingRounds = 7;
+
+std::vector<std::string> timing_keys() {
+  std::vector<std::string> keys;
+  for (int i = 0; i < kTimingKeys; ++i) {
+    keys.push_back("obj/" + std::to_string(i));
+  }
+  return keys;
+}
+
+/// Times one pass of every mode: an untimed warm-up pass each, then
+/// kTimingRounds rounds with the mode order rotated by one per round, so no
+/// mode always runs first.  Returns each mode's pass times in ms, sorted.
+std::vector<std::vector<double>> time_rounds(
+    const std::vector<std::function<void()>>& passes) {
+  for (const auto& pass : passes) pass();
+  std::vector<std::vector<double>> ms(passes.size());
+  for (std::size_t round = 0; round < kTimingRounds; ++round) {
+    for (std::size_t k = 0; k < passes.size(); ++k) {
+      const std::size_t m = (k + round) % passes.size();
+      Stopwatch sw;
+      passes[m]();
+      ms[m].push_back(sw.elapsed_sec() * 1e3);
+    }
+  }
+  for (auto& v : ms) std::sort(v.begin(), v.end());
+  return ms;
+}
+
+double median(const std::vector<double>& sorted) {
+  return sorted[sorted.size() / 2];
+}
+
+/// One row per mode: median pass time, its range, the median per write and
+/// the median's overhead against the first mode's median.
+void emit_timing(bench::Table& table, const std::vector<const char*>& names,
+                 const std::vector<std::vector<double>>& ms, int writes) {
+  for (std::size_t m = 0; m < names.size(); ++m) {
+    const double med = median(ms[m]);
+    table.row(names[m], writes, bench::Table::fmt(med, 2),
+              bench::Table::fmt(ms[m].front(), 2),
+              bench::Table::fmt(ms[m].back(), 2),
+              bench::Table::fmt(med * 1e3 / writes, 3),
+              bench::Table::pct(med / median(ms[0]) - 1.0));
+  }
+  table.emit();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,43 +120,42 @@ int main(int argc, char** argv) {
   // --- commit protocol overhead -------------------------------------------------
   {
     bench::Table table(
-        "Per-write cost of durability layers (5000 x 64 KiB, MemStorage)",
-        {"mode", "writes", "wall_ms", "per_write_us", "overhead_vs_raw"},
+        "Per-write cost of durability layers (5000 x 64 KiB over 64 keys, "
+        "MemStorage, median of 7 rounds)",
+        {"mode", "writes", "median_ms", "min_ms", "max_ms", "per_write_us",
+         "overhead_vs_raw"},
         "fault_tolerance_commit.csv");
 
     constexpr int kWrites = 5000;
     const std::vector<std::byte> payload(64 * 1024, std::byte{0x5A});
+    const std::vector<std::string> keys = timing_keys();
     const RetryPolicy policy = fast_policy();
     Xoshiro256 rng(17);
+    MemStorage raw_mem, retry_mem, commit_mem;
 
-    auto time_mode = [&](auto&& op) {
-      MemStorage mem;
-      Stopwatch sw;
-      for (int i = 0; i < kWrites; ++i) {
-        op(mem, "obj/" + std::to_string(i));
-      }
-      return sw.elapsed_sec() * 1e3;
-    };
-
-    const double raw_ms = time_mode([&](MemStorage& mem, const std::string& key) {
-      (void)mem.write(key, payload);
+    const auto ms = time_rounds({
+        [&] {
+          for (int i = 0; i < kWrites; ++i) {
+            (void)raw_mem.write(keys[i % kTimingKeys], payload);
+          }
+        },
+        [&] {
+          for (int i = 0; i < kWrites; ++i) {
+            (void)write_with_retry(retry_mem, keys[i % kTimingKeys], payload,
+                                   policy, rng);
+          }
+        },
+        [&] {
+          for (int i = 0; i < kWrites; ++i) {
+            (void)committed_write(commit_mem, keys[i % kTimingKeys], payload,
+                                  policy, rng);
+          }
+        },
     });
-    const double retry_ms = time_mode([&](MemStorage& mem, const std::string& key) {
-      (void)write_with_retry(mem, key, payload, policy, rng);
-    });
-    const double commit_ms = time_mode([&](MemStorage& mem, const std::string& key) {
-      (void)committed_write(mem, key, payload, policy, rng);
-    });
-
-    auto emit = [&](const char* mode, double ms) {
-      table.row(mode, kWrites, bench::Table::fmt(ms, 2),
-                bench::Table::fmt(ms * 1e3 / kWrites, 3),
-                bench::Table::pct(ms / raw_ms - 1.0));
-    };
-    emit("raw write", raw_ms);
-    emit("retried write", retry_ms);
-    emit("committed write (data+sync+marker+CRC)", commit_ms);
-    table.emit();
+    emit_timing(table,
+                {"raw write", "retried write",
+                 "committed write (data+sync+marker+CRC)"},
+                ms, kWrites);
   }
 
   // --- recovery success vs injected fault rate -----------------------------------
@@ -167,20 +220,22 @@ int main(int argc, char** argv) {
 
   // --- health-monitor overhead on the replicated write path ----------------
   // The self-healing runtime (DESIGN.md §9) adds a deadline check and a
-  // breaker lookup to every lane op.  Measure the same replicated write
-  // loop with the monitor off and on; the acceptance bar is < 2% added
-  // stall on the healthy path.
+  // breaker lookup to every lane op.  Time the same replicated write loop
+  // with the monitor off and on, interleaved as in the table above; the
+  // acceptance bar is < 2% added stall on the healthy path.
   {
     bench::Table table(
         "Health-monitor overhead, 2@local,peer replicated writes "
-        "(healthy cluster, 16 KiB records)",
-        {"mode", "writes", "wall_ms", "per_write_us", "overhead_vs_off"},
+        "(healthy cluster, 2000 x 16 KiB over 64 keys, median of 7 rounds)",
+        {"mode", "writes", "median_ms", "min_ms", "max_ms", "per_write_us",
+         "overhead_vs_off"},
         "fault_tolerance_monitor.csv");
 
     constexpr int kWrites = 2000;
     const std::vector<std::byte> payload(16 * 1024, std::byte{0x5A});
+    const std::vector<std::string> keys = timing_keys();
 
-    auto run_mode = [&](bool monitored) {
+    auto make_replicator = [](bool monitored) {
       sim::ClusterSpec cluster;
       cluster.num_gpus = 2 * cluster.gpus_per_server;
       tier::TierSimOptions topts;
@@ -193,30 +248,24 @@ int main(int argc, char** argv) {
         opts.deadline.write_deadline_sec = 1.0;  // checked, never fires
         opts.deadline.sync_deadline_sec = 1.0;
       }
-      tier::Replicator rep(topo, tier::PlacementPolicy::parse("2@local,peer"),
-                           opts);
-      Stopwatch sw;
+      return std::make_unique<tier::Replicator>(
+          topo, tier::PlacementPolicy::parse("2@local,peer"), opts);
+    };
+    const auto off = make_replicator(false);
+    const auto on = make_replicator(true);
+    auto pass = [&](tier::Replicator& rep) {
       for (int i = 0; i < kWrites; ++i) {
-        (void)rep.write("obj/" + std::to_string(i), payload);
+        (void)rep.write(keys[i % kTimingKeys], payload);
       }
       rep.flush();
-      return sw.elapsed_sec() * 1e3;
     };
 
-    const double off_ms = run_mode(false);
-    const double on_ms = run_mode(true);
-    const double overhead = on_ms / off_ms - 1.0;
-    auto emit = [&](const char* mode, double ms) {
-      table.row(mode, kWrites, bench::Table::fmt(ms, 2),
-                bench::Table::fmt(ms * 1e3 / kWrites, 3),
-                bench::Table::pct(ms / off_ms - 1.0));
-    };
-    emit("monitor off", off_ms);
-    emit("monitor on (deadline + breaker gate)", on_ms);
-    table.emit();
+    const auto ms = time_rounds({[&] { pass(*off); }, [&] { pass(*on); }});
+    emit_timing(table, {"monitor off", "monitor on (deadline + breaker gate)"},
+                ms, kWrites);
     obs::Registry::global()
         .gauge("fault_tolerance.monitor.overhead_frac")
-        .set(overhead);
+        .set(median(ms[1]) / median(ms[0]) - 1.0);
   }
 
   // --- breaker + repair under fire -----------------------------------------

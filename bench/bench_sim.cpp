@@ -5,15 +5,15 @@
 ///  1. Bit-identity: legacy scenarios through the new engine reproduce the
 ///     pre-rewrite scalar engine exactly (checked-in goldens + live
 ///     reference cross-check).  Any mismatch exits non-zero.
-///  2. Throughput: the memoized engine sweeps a strategy grid at >= 5x the
-///     events/sec of the unmemoized scalar baseline.
+///  2. Throughput: the memoized legacy walk (run_legacy, which uses no
+///     event queue) sweeps a strategy grid at >= 5x the events/sec of the
+///     unmemoized scalar baseline.
 ///  3. Scale: a 10k-worker x 20-cell scenario grid (elastic membership,
 ///     stragglers, correlated rack bursts, spot preemption) finishes
 ///     inside the CI smoke budget (--budget-sec, default 60).
 ///
-/// Also benchmarks the calendar queue against the binary heap on
-/// hold-and-fire schedules, and emits the per-strategy TCO roll-up of the
-/// 10k grid into BENCH_sim.json.
+/// Also emits the per-strategy TCO roll-up of the 10k grid into
+/// BENCH_sim.json.
 ///
 /// Flags beyond bench_util's: --budget-sec=N wall-clock gate for the grid.
 
@@ -24,7 +24,6 @@
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
-#include "sim/event_queue.h"
 #include "sim/run_sim.h"
 #include "sim/scenario.h"
 #include "sim/sweep.h"
@@ -192,37 +191,6 @@ bool run_speedup_gate(Table& table) {
   return speedup >= 5.0;
 }
 
-// --- queue microbenchmark -----------------------------------------------------
-
-double queue_hold_and_fire_eps(QueuePolicy policy, std::size_t pending,
-                               std::uint64_t ops) {
-  EventQueue q(policy);
-  Xoshiro256 rng(7);
-  for (std::size_t i = 0; i < pending; ++i) {
-    q.push(rng.exponential(100.0), EventKind::kFailure);
-  }
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const Event e = q.pop();
-    q.push(e.time + rng.exponential(100.0), EventKind::kFailure);
-  }
-  return static_cast<double>(ops) / std::max(1e-9, seconds_since(t0));
-}
-
-void run_queue_bench(bool smoke, Table& table) {
-  const std::uint64_t ops = smoke ? 200'000 : 2'000'000;
-  auto& reg = obs::Registry::global();
-  for (const std::size_t pending : {1'000u, 10'000u, 100'000u}) {
-    const double cal = queue_hold_and_fire_eps(QueuePolicy::kCalendar, pending, ops);
-    const double heap = queue_hold_and_fire_eps(QueuePolicy::kHeap, pending, ops);
-    table.row("pending=" + std::to_string(pending), Table::fmt(cal / 1e6, 2),
-              Table::fmt(heap / 1e6, 2), Table::fmt(cal / heap, 2));
-    const std::string suffix = std::to_string(pending);
-    reg.gauge("sim.queue.calendar_mops." + suffix).set(cal / 1e6);
-    reg.gauge("sim.queue.heap_mops." + suffix).set(heap / 1e6);
-  }
-}
-
 // --- gate 3: the 10k-worker scenario grid -------------------------------------
 
 std::vector<SweepCell> fleet_grid(bool smoke) {
@@ -363,12 +331,6 @@ int main(int argc, char** argv) {
   lowdiff::bench::set_cluster(ClusterSpec{});
 
   const bool bit_ok = run_bit_identity_gate(smoke);
-
-  Table queue_table("event-queue hold-and-fire throughput",
-                    {"pending", "calendar Mops", "heap Mops", "cal/heap"},
-                    "sim_queue.csv");
-  run_queue_bench(smoke, queue_table);
-  queue_table.emit();
 
   Table speed("legacy grid: scalar reference vs memoized engine",
               {"engine", "cells", "failures", "seconds", "events/sec"},

@@ -38,9 +38,4 @@ class Compressor {
   virtual std::unique_ptr<Compressor> clone() const = 0;
 };
 
-/// out += decompress(payload) without materializing a temporary dense
-/// tensor for sparse payloads.  Works for any scheme.
-void accumulate_decompressed(const Compressor& comp, const CompressedGrad& payload,
-                             std::span<float> out);
-
 }  // namespace lowdiff

@@ -232,25 +232,4 @@ CompressedGrad merge_sparse_sum(std::span<const CompressedGrad> payloads) {
   return out;
 }
 
-void accumulate_decompressed(const Compressor& comp, const CompressedGrad& payload,
-                             std::span<float> out) {
-  LOWDIFF_ENSURE(out.size() == payload.dense_size, "accumulate size mismatch");
-  switch (payload.scheme) {
-    case CompressionScheme::kTopK:
-    case CompressionScheme::kRandomK:
-      for (std::size_t i = 0; i < payload.indices.size(); ++i) {
-        out[payload.indices[i]] += payload.values[i];
-      }
-      return;
-    case CompressionScheme::kDense:
-    case CompressionScheme::kQuant8: {
-      std::vector<float> tmp(out.size());
-      comp.decompress(payload, tmp);
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += tmp[i];
-      return;
-    }
-  }
-  LOWDIFF_UNREACHABLE("unknown compression scheme");
-}
-
 }  // namespace lowdiff

@@ -2,28 +2,18 @@
 
 /// \file event_queue.h
 /// Pending-event set for the discrete-event simulation engine (DESIGN.md
-/// §11).  Two interchangeable backends behind one facade:
+/// §11): a binary heap ordered by (time, insertion seq).  Ties break by
+/// insertion order, so pop order is a total function of the push sequence
+/// and every run is deterministic.
 ///
-///  - CalendarQueue: the classic bucketed calendar queue (Brown 1988).
-///    Events hash into year-circular time buckets; pop scans forward from
-///    the current bucket.  O(1) amortized push/pop when the event-time
-///    distribution is reasonably even — which Poisson arrival processes
-///    are — with periodic O(n) resizes that re-estimate the bucket width
-///    from observed inter-event gaps.
-///  - BinaryHeapQueue: std::push_heap/pop_heap, O(log n), distribution-
-///    oblivious.
-///
-/// The EventQueue facade starts on the calendar and permanently migrates to
-/// the heap if the calendar degenerates (average bucket-scan cost per pop
-/// exceeds a bound — e.g. adversarially clustered event times).  The
-/// migration decision depends only on the pushed event sequence, so runs
-/// stay deterministic.  Both backends break time ties by insertion order
-/// (`seq`), making pop order a total, backend-independent function of the
-/// push sequence — asserted by the equivalence suite in test_sim_engine.
+/// Why a plain heap: the pending set stays tiny.  Each failure process
+/// keeps one arrival pending, plus the repair, replacement, rejoin and
+/// recovery events of the outages it has open.  The largest set measured
+/// is 22 events, both in bench_sim's 10k-worker × 20-cell fleet grid and
+/// in every test_sim_engine scenario (DESIGN.md §11.2).  At that size an
+/// O(log n) heap costs a few comparisons per event.
 
 #include <algorithm>
-#include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -60,11 +50,11 @@ inline bool event_after(const Event& a, const Event& b) {
   return a.seq > b.seq;
 }
 
-/// Binary-heap backend.  O(log n) push/pop, no distribution assumptions.
-class BinaryHeapQueue {
+class EventQueue {
  public:
-  void push(const Event& e) {
-    heap_.push_back(e);
+  void push(double time, EventKind kind, std::uint32_t worker = 0,
+            std::uint32_t aux = 0) {
+    heap_.push_back(Event{time, kind, worker, aux, next_seq_++});
     std::push_heap(heap_.begin(), heap_.end(), event_after);
   }
 
@@ -77,229 +67,9 @@ class BinaryHeapQueue {
   }
 
   bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  const std::vector<Event>& raw() const { return heap_; }
-  void clear() { heap_.clear(); }
 
  private:
   std::vector<Event> heap_;
-};
-
-/// Bucketed calendar-queue backend.
-class CalendarQueue {
- public:
-  CalendarQueue() { rebuild(kMinBuckets, 1.0); }
-
-  void push(const Event& e) {
-    auto& bucket = buckets_[bucket_of(e.time)];
-    // Buckets are kept sorted descending by (time, seq); the minimum sits
-    // at the back.  Near-future inserts land near the back, so the linear
-    // scan is short in the common case.
-    auto it = bucket.end();
-    while (it != bucket.begin() && event_after(e, *(it - 1))) --it;
-    bucket.insert(it, e);
-    ++size_;
-    // An event earlier than the current scan cell would be missed by the
-    // forward year scan — rewind the cursor to its cell.
-    if (e.time < year_end_ - width_) {
-      cur_bucket_ = bucket_of(e.time);
-      year_end_ = (std::floor(e.time / width_) + 1.0) * width_;
-    }
-    if (size_ > 2 * buckets_.size()) resize();
-  }
-
-  Event pop() {
-    LOWDIFF_CHECK(size_ > 0);
-    for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
-      auto& bucket = buckets_[cur_bucket_];
-      if (!bucket.empty() && bucket.back().time < year_end_) {
-        const Event e = bucket.back();
-        bucket.pop_back();
-        --size_;
-        scan_cost_ += scanned;
-        ++pops_;
-        return e;
-      }
-      cur_bucket_ = (cur_bucket_ + 1) & mask_;
-      year_end_ += width_;
-    }
-    // Nothing within a whole year: every pending event is far in the
-    // future.  Seek directly to the global minimum.
-    scan_cost_ += buckets_.size();
-    seek_to_min();
-    auto& bucket = buckets_[cur_bucket_];
-    const Event e = bucket.back();
-    bucket.pop_back();
-    --size_;
-    ++pops_;
-    return e;
-  }
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Average bucket-advance scans per pop — the facade's degeneracy signal.
-  double scan_cost_per_pop() const {
-    return pops_ == 0 ? 0.0
-                      : static_cast<double>(scan_cost_) /
-                            static_cast<double>(pops_);
-  }
-  std::uint64_t pops() const { return pops_; }
-
-  /// Drains every pending event (unordered) — used for heap migration.
-  std::vector<Event> drain() {
-    std::vector<Event> out;
-    out.reserve(size_);
-    for (auto& b : buckets_) {
-      out.insert(out.end(), b.begin(), b.end());
-      b.clear();
-    }
-    size_ = 0;
-    return out;
-  }
-
-  std::size_t num_buckets() const { return buckets_.size(); }
-  double bucket_width() const { return width_; }
-
- private:
-  static constexpr std::size_t kMinBuckets = 16;
-
-  std::size_t bucket_of(double time) const {
-    return static_cast<std::size_t>(time / width_) & mask_;
-  }
-
-  void rebuild(std::size_t nbuckets, double width) {
-    buckets_.assign(nbuckets, {});
-    mask_ = nbuckets - 1;
-    width_ = width;
-    cur_bucket_ = 0;
-    year_end_ = width_;
-  }
-
-  /// Re-point (cur_bucket_, year_end_) at the bucket holding the global
-  /// minimum so the next scan starts in the right year.
-  void seek_to_min() {
-    const Event* min_ev = nullptr;
-    for (const auto& b : buckets_) {
-      if (!b.empty() && (!min_ev || event_after(*min_ev, b.back()))) {
-        min_ev = &b.back();
-      }
-    }
-    LOWDIFF_CHECK(min_ev != nullptr);
-    cur_bucket_ = bucket_of(min_ev->time);
-    year_end_ = (std::floor(min_ev->time / width_) + 1.0) * width_;
-  }
-
-  /// Doubles the bucket count and re-estimates the width from the observed
-  /// event-time spread (average adjacent gap of a sorted sample).
-  void resize() {
-    std::vector<Event> pending = drain();
-    std::size_t nbuckets = kMinBuckets;
-    while (nbuckets < pending.size()) nbuckets <<= 1;
-
-    std::vector<double> sample;
-    const std::size_t stride = std::max<std::size_t>(1, pending.size() / 64);
-    for (std::size_t i = 0; i < pending.size(); i += stride) {
-      sample.push_back(pending[i].time);
-    }
-    std::sort(sample.begin(), sample.end());
-    double gap_sum = 0.0;
-    std::size_t gaps = 0;
-    for (std::size_t i = 1; i < sample.size(); ++i) {
-      const double g = sample[i] - sample[i - 1];
-      if (g > 0.0) {
-        gap_sum += g;
-        ++gaps;
-      }
-    }
-    const double width = gaps > 0 ? 3.0 * gap_sum / static_cast<double>(gaps)
-                                  : width_;
-    rebuild(nbuckets, std::max(width, 1e-9));
-    for (const auto& e : pending) {
-      auto& bucket = buckets_[bucket_of(e.time)];
-      auto it = bucket.end();
-      while (it != bucket.begin() && event_after(e, *(it - 1))) --it;
-      bucket.insert(it, e);
-    }
-    size_ = pending.size();
-    if (size_ > 0) seek_to_min();
-  }
-
-  std::vector<std::vector<Event>> buckets_;
-  std::size_t mask_ = 0;
-  double width_ = 1.0;
-  std::size_t size_ = 0;
-  std::size_t cur_bucket_ = 0;
-  double year_end_ = 1.0;
-  std::uint64_t scan_cost_ = 0;
-  std::uint64_t pops_ = 0;
-};
-
-enum class QueueBackend { kCalendar, kHeap };
-
-/// Backend selection policy for EventQueue.
-enum class QueuePolicy {
-  kCalendar,  ///< calendar only (no fallback)
-  kHeap,      ///< heap only
-  kAdaptive,  ///< calendar first; migrate to heap if it degenerates
-};
-
-/// The facade the engine talks to.  Assigns insertion sequence numbers so
-/// pop order is a pure function of the push sequence, independent of the
-/// active backend.
-class EventQueue {
- public:
-  explicit EventQueue(QueuePolicy policy = QueuePolicy::kAdaptive)
-      : policy_(policy),
-        backend_(policy == QueuePolicy::kHeap ? QueueBackend::kHeap
-                                              : QueueBackend::kCalendar) {}
-
-  void push(double time, EventKind kind, std::uint32_t worker = 0,
-            std::uint32_t aux = 0) {
-    Event e{time, kind, worker, aux, next_seq_++};
-    if (backend_ == QueueBackend::kHeap) {
-      heap_.push(e);
-    } else {
-      calendar_.push(e);
-    }
-  }
-
-  Event pop() {
-    if (backend_ == QueueBackend::kHeap) return heap_.pop();
-    const Event e = calendar_.pop();
-    maybe_fall_back();
-    return e;
-  }
-
-  bool empty() const {
-    return backend_ == QueueBackend::kHeap ? heap_.empty() : calendar_.empty();
-  }
-  std::size_t size() const {
-    return backend_ == QueueBackend::kHeap ? heap_.size() : calendar_.size();
-  }
-  QueueBackend backend() const { return backend_; }
-
- private:
-  /// Adaptive fallback: if the calendar averages more than kMaxScanPerPop
-  /// bucket advances per pop over the first kProbePops pops (and keeps
-  /// doing so thereafter), its distribution assumption has failed —
-  /// migrate everything to the heap, once.
-  void maybe_fall_back() {
-    if (policy_ != QueuePolicy::kAdaptive) return;
-    constexpr std::uint64_t kProbePops = 512;
-    constexpr double kMaxScanPerPop = 16.0;
-    if (calendar_.pops() < kProbePops ||
-        calendar_.scan_cost_per_pop() <= kMaxScanPerPop) {
-      return;
-    }
-    for (const Event& e : calendar_.drain()) heap_.push(e);
-    backend_ = QueueBackend::kHeap;
-  }
-
-  QueuePolicy policy_;
-  QueueBackend backend_;
-  CalendarQueue calendar_;
-  BinaryHeapQueue heap_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -60,14 +60,6 @@ class FailureModel {
     return ev;
   }
 
-  /// Fills `out[0..n)` with the next `n` failures.  Stream-identical to
-  /// calling next() n times — the exponential/uniform interleaving is part
-  /// of the historical RNG stream and must not be reordered — but lets the
-  /// event engine amortize the call overhead across a block.
-  void fill(FailureEvent* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = next();
-  }
-
  private:
   double mtbf_sec_;
   double software_fraction_;

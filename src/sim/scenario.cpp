@@ -5,8 +5,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/batch_rng.h"
 #include "common/error.h"
+#include "sim/event_queue.h"
 
 namespace lowdiff::sim {
 namespace {
@@ -24,10 +24,11 @@ constexpr std::uint64_t kBurstTag = 0xB0257ull;
 constexpr std::uint64_t kPreemptTag = 0x9EE47ull;
 constexpr std::uint64_t kElasticTag = 0xE1A571Cull;
 
-/// Batched exponential arrival stream: inter-arrival draws are filled a
-/// block at a time (common/batch_rng.h) so the event loop never pays
-/// per-draw call overhead.  Victim/magnitude draws come straight off the
-/// same generator, interleaved deterministically with the blocks.
+/// Exponential arrival stream.  Inter-arrival times are drawn 32 at a
+/// time; victim and magnitude draws come straight off the same generator,
+/// between the blocks.  That block order fixes the draw sequence of every
+/// fleet scenario, so drawing one arrival at a time would change their
+/// results.
 class ArrivalStream {
  public:
   ArrivalStream(double mean_sec, std::uint64_t seed)
@@ -35,7 +36,7 @@ class ArrivalStream {
 
   double next_arrival() {
     if (pos_ == kBlock) {
-      fill_exponential(rng_, mean_, block_, kBlock);
+      for (double& t : block_) t = rng_.exponential(mean_);
       pos_ = 0;
     }
     return block_[pos_++];
@@ -48,33 +49,6 @@ class ArrivalStream {
   double mean_;
   Xoshiro256 rng_;
   double block_[kBlock] = {};
-  std::size_t pos_ = kBlock;
-};
-
-/// Batched legacy failure source: stream-identical to calling
-/// FailureModel::next() per event (the exponential/uniform interleaving is
-/// part of the historical stream and must not be reordered), amortizing
-/// the per-event call overhead across a block.
-class BatchedFailureSource {
- public:
-  BatchedFailureSource(double mtbf_sec, std::uint64_t seed,
-                       double software_fraction)
-      : model_(mtbf_sec, seed, software_fraction) {}
-
-  const FailureEvent& next() {
-    if (pos_ == kBlock) {
-      model_.fill(block_, kBlock);
-      pos_ = 0;
-    }
-    return block_[pos_++];
-  }
-
- private:
-  // Sized so typical runs (tens of failures) waste few tail draws while
-  // still amortizing the call overhead.
-  static constexpr std::size_t kBlock = 8;
-  FailureModel model_;
-  FailureEvent block_[kBlock];
   std::size_t pos_ = kBlock;
 };
 
@@ -171,13 +145,12 @@ std::vector<std::uint32_t> floyd_indices(std::uint32_t n, std::uint32_t count,
 }
 
 /// The scalar legacy path: the reference walk with the closed forms
-/// replaced by their memoized values and the failure draws batched.  Every
-/// arithmetic expression matches run_with_failures_reference
-/// (tests/support/sim_reference.cpp) term for term — that is the
-/// bit-identity contract bench_sim gates.
+/// replaced by their memoized values.  Every arithmetic expression matches
+/// run_with_failures_reference (tests/support/sim_reference.cpp) term for
+/// term — that is the bit-identity contract bench_sim gates.
 FleetRunResult run_legacy(const ScenarioConfig& scenario, const SteadyCosts& c) {
-  BatchedFailureSource failures(scenario.mtbf_sec, scenario.seed,
-                                scenario.software_fraction);
+  FailureModel failures(scenario.mtbf_sec, scenario.seed,
+                        scenario.software_fraction);
 
   FleetRunResult out;
   double remaining = scenario.train_work_sec;
@@ -188,7 +161,7 @@ FleetRunResult run_legacy(const ScenarioConfig& scenario, const SteadyCosts& c) 
   std::uint64_t n_failures = 0;
 
   while (remaining > 0.0 && n_failures < kMaxRollbacks) {
-    const FailureEvent& ev = failures.next();
+    const FailureEvent ev = failures.next();
     const double time_to_finish = remaining / c.productive_frac;
     if (ev.time >= time_to_finish) {
       wall += time_to_finish;
@@ -232,12 +205,9 @@ FleetRunResult run_legacy(const ScenarioConfig& scenario, const SteadyCosts& c) 
 /// The event core: heterogeneous failure processes against SoA fleet state.
 class ScenarioEngine {
  public:
-  ScenarioEngine(const ClusterSpec& cluster,
-                 const StrategyConfig& /*strategy*/,
-                 const ScenarioConfig& scenario, const SteadyCosts& costs,
-                 QueuePolicy policy)
-      : scenario_(scenario), c_(costs), queue_(policy),
-        fleet_(cluster.num_gpus),
+  ScenarioEngine(std::size_t fleet_size, const ScenarioConfig& scenario,
+                 const SteadyCosts& costs)
+      : scenario_(scenario), c_(costs), fleet_(fleet_size),
         failures_(scenario.mtbf_sec, scenario.seed,
                   scenario.software_fraction),
         straggler_src_(scenario.stragglers.onset_mtbf_sec,
@@ -328,7 +298,7 @@ class ScenarioEngine {
   }
 
   void schedule_failure() {
-    const FailureEvent& ev = failures_.next();
+    const FailureEvent ev = failures_.next();
     queue_.push(now_ + ev.time, EventKind::kFailure, 0,
                 ev.type == FailureType::kSoftware ? 1 : 0);
   }
@@ -522,7 +492,7 @@ class ScenarioEngine {
 
   EventQueue queue_;
   FleetState fleet_;
-  BatchedFailureSource failures_;
+  FailureModel failures_;
   ArrivalStream straggler_src_;
   ArrivalStream burst_src_;
   ArrivalStream preempt_src_;
@@ -613,7 +583,7 @@ FleetRunResult run_scenario(const ClusterSpec& cluster,
                             const Workload& workload,
                             const StrategyConfig& strategy,
                             const ScenarioConfig& scenario,
-                            StepCostCache* cache, QueuePolicy policy) {
+                            StepCostCache* cache) {
   LOWDIFF_ENSURE(scenario.train_work_sec > 0.0,
                  "train_work_sec must be positive");
   LOWDIFF_ENSURE(scenario.mtbf_sec > 0.0, "mtbf_sec must be positive");
@@ -629,27 +599,21 @@ FleetRunResult run_scenario(const ClusterSpec& cluster,
     local = compute_steady_costs(eff, workload, strategy);
     costs = &local;
   }
-  return run_scenario(cluster, strategy, scenario, *costs, policy);
+  return run_scenario(cluster, scenario, *costs);
 }
 
 FleetRunResult run_scenario(const ClusterSpec& cluster,
-                            const StrategyConfig& strategy,
                             const ScenarioConfig& scenario,
-                            const SteadyCosts& costs, QueuePolicy policy) {
+                            const SteadyCosts& costs) {
   LOWDIFF_ENSURE(scenario.train_work_sec > 0.0,
                  "train_work_sec must be positive");
   LOWDIFF_ENSURE(scenario.mtbf_sec > 0.0, "mtbf_sec must be positive");
 
   const std::size_t fleet_size =
       scenario.num_workers > 0 ? scenario.num_workers : cluster.num_gpus;
-  FleetRunResult out;
-  if (scenario.legacy()) {
-    out = run_legacy(scenario, costs);
-  } else {
-    ClusterSpec eff = cluster;
-    eff.num_gpus = fleet_size;
-    out = ScenarioEngine(eff, strategy, scenario, costs, policy).run();
-  }
+  FleetRunResult out = scenario.legacy()
+                           ? run_legacy(scenario, costs)
+                           : ScenarioEngine(fleet_size, scenario, costs).run();
 
   const double fleet = static_cast<double>(fleet_size);
   out.gpu_hours_total = out.base.wall_time * fleet / 3600.0;
@@ -657,39 +621,6 @@ FleetRunResult run_scenario(const ClusterSpec& cluster,
   out.cost_total_usd = out.gpu_hours_total * scenario.cost.gpu_hour_usd;
   out.cost_wasted_usd = out.gpu_hours_wasted * scenario.cost.gpu_hour_usd;
   return out;
-}
-
-double measure_concurrent_downtime(std::size_t num_servers, double mtbf_sec,
-                                   double mean_repair_sec,
-                                   std::size_t overlapping, double horizon_sec,
-                                   std::uint64_t seed, QueuePolicy policy) {
-  LOWDIFF_ENSURE(num_servers > 0 && mtbf_sec > 0.0, "bad repair-race config");
-  // Aggregate M/G/inf view (matching RepairModel): failures arrive at rate
-  // num_servers / mtbf; each opens an exponential repair window.
-  const double agg_mean = mtbf_sec / static_cast<double>(num_servers);
-  Xoshiro256 rng(SplitMix64(seed ^ 0x5EED5ull).next());
-  EventQueue queue(policy);
-  queue.push(rng.exponential(agg_mean), EventKind::kFailure);
-
-  double now = 0.0;
-  double time_at_or_above = 0.0;
-  std::size_t down = 0;
-  while (!queue.empty()) {
-    const Event e = queue.pop();
-    const double t = std::min(e.time, horizon_sec);
-    if (down >= overlapping) time_at_or_above += t - now;
-    now = t;
-    if (e.time >= horizon_sec) break;
-    if (e.kind == EventKind::kFailure) {
-      ++down;
-      queue.push(now + rng.exponential(mean_repair_sec),
-                 EventKind::kRecoveryDone);
-      queue.push(now + rng.exponential(agg_mean), EventKind::kFailure);
-    } else {
-      --down;
-    }
-  }
-  return horizon_sec > 0.0 ? time_at_or_above / horizon_sec : 0.0;
 }
 
 }  // namespace lowdiff::sim

@@ -17,9 +17,9 @@
 ///
 /// Two execution paths share one accounting model:
 ///  - scenarios with no fleet axes enabled (`ScenarioConfig::legacy()`)
-///    replay the historical scalar walk with memoized step costs and
-///    batched failure draws — bit-identical to run_with_failures_reference
-///    in tests/support/sim_reference.h (gated by bench_sim and the
+///    replay the historical scalar walk with memoized step costs —
+///    bit-identical to run_with_failures_reference in
+///    tests/support/sim_reference.h (gated by bench_sim and the
 ///    checked-in goldens);
 ///  - scenarios with any fleet axis enabled run on the event core
 ///    (event_queue.h), processing every failure process as a stream of
@@ -27,8 +27,8 @@
 ///
 /// Determinism: every stochastic stream is seeded as
 /// SplitMix64(seed ^ tag); results are a pure function of
-/// (cluster, workload, strategy, scenario) and independent of the queue
-/// backend and of sweep thread counts (test_sim_engine asserts both).
+/// (cluster, workload, strategy, scenario) and independent of sweep thread
+/// counts (test_sim_engine asserts it).
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +36,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "sim/event_queue.h"
 #include "sim/run_sim.h"
 
 namespace lowdiff::sim {
@@ -175,37 +174,20 @@ class StepCostCache {
   std::unordered_map<std::string, std::unique_ptr<SteadyCosts>> memo_;
 };
 
-/// Runs one scenario to completion.  Deterministic in scenario.seed;
-/// independent of `policy` (queue backends are pop-order equivalent) —
-/// the knob exists for the benchmarked comparison and tests.
+/// Runs one scenario to completion.  Deterministic in scenario.seed.
 FleetRunResult run_scenario(const ClusterSpec& cluster, const Workload& workload,
                             const StrategyConfig& strategy,
                             const ScenarioConfig& scenario,
-                            StepCostCache* cache = nullptr,
-                            QueuePolicy policy = QueuePolicy::kAdaptive);
+                            StepCostCache* cache = nullptr);
 
 /// Hot-path variant with pre-resolved step costs: skips the memo lookup
 /// entirely.  `costs` must come from compute_steady_costs (or a
 /// StepCostCache) for the *effective* cluster — cluster with
 /// scenario.num_workers applied — or results are meaningless.  run_sweep
 /// resolves each cell's costs once during pre-warm and runs cells through
-/// this entry.  The workload is already folded into `costs`.
+/// this entry.  The workload and strategy are already folded into `costs`.
 FleetRunResult run_scenario(const ClusterSpec& cluster,
-                            const StrategyConfig& strategy,
                             const ScenarioConfig& scenario,
-                            const SteadyCosts& costs,
-                            QueuePolicy policy = QueuePolicy::kAdaptive);
-
-/// Empirical companion to RepairModel::concurrent_loss_probability: runs
-/// the aggregate failure/repair process (arrivals at num_servers/mtbf,
-/// exponential repairs) on the event queue for `horizon_sec` and returns
-/// the fraction of time at least `overlapping` servers were simultaneously
-/// inside a repair window.  test_sim_engine cross-checks this against the
-/// M/G/inf closed form at 1k and 10k workers.
-double measure_concurrent_downtime(std::size_t num_servers, double mtbf_sec,
-                                   double mean_repair_sec,
-                                   std::size_t overlapping, double horizon_sec,
-                                   std::uint64_t seed,
-                                   QueuePolicy policy = QueuePolicy::kAdaptive);
+                            const SteadyCosts& costs);
 
 }  // namespace lowdiff::sim

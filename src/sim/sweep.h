@@ -42,9 +42,6 @@ struct SweepCell {
 
 struct SweepOptions {
   std::uint64_t base_seed = 1;
-  /// Queue backend for every cell (kAdaptive in production; tests compare
-  /// kCalendar vs kHeap through this knob).
-  QueuePolicy queue = QueuePolicy::kAdaptive;
 };
 
 struct SweepCellResult {

@@ -62,8 +62,6 @@ class DeadlineStorage final : public StorageBackend {
     return timeouts_.load(std::memory_order_relaxed);
   }
 
-  StorageBackend& inner() { return *inner_; }
-
  private:
   Status timed_out(const char* op, const std::string& key, double elapsed,
                    double deadline) const;

@@ -69,8 +69,6 @@ class FaultInjectingStorage final : public StorageBackend {
   void set_spec(const FaultSpec& spec);
   FaultSpec spec() const;
 
-  StorageBackend& inner() { return *inner_; }
-
  private:
   bool roll(double rate) const;  // caller holds mutex_
   void maybe_spike() const;      // caller must NOT hold mutex_ during sleep

@@ -32,8 +32,6 @@ class ThrottledStorage final : public StorageBackend {
   /// checkpointing overhead measurements read this).
   double busy_time() const { return throttler_->busy_time(); }
 
-  StorageBackend& inner() { return *inner_; }
-
  private:
   std::shared_ptr<StorageBackend> inner_;
   /// unique_ptr so const read() can acquire; Throttler is internally locked.

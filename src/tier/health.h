@@ -115,8 +115,6 @@ class TierHealthMonitor {
   std::uint64_t short_circuits() const;
   std::uint64_t probes() const;
 
-  const HealthOptions& options() const { return options_; }
-
  private:
   struct Entry {
     TargetHealth state = TargetHealth::kHealthy;

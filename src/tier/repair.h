@@ -78,8 +78,6 @@ class QuorumRepairEngine {
   /// spent.  Returns true when quorum is fully restored.
   bool repair_until_quorum(std::size_t max_passes);
 
-  const Options& options() const { return options_; }
-
  private:
   std::shared_ptr<TierTopology> topology_;
   Replicator& replicator_;

@@ -131,10 +131,17 @@ TEST(Rng, NormalMomentsApproximatelyStandard) {
 
 TEST(Rng, ExponentialMeanMatches) {
   Xoshiro256 rng(55);
-  double sum = 0.0;
+  double sum = 0.0, sq = 0.0;
   const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(3.5);
-  EXPECT_NEAR(sum / n, 3.5, 0.1);
+  for (int i = 0; i < n; ++i) {
+    const double v = rng.exponential(3.5);
+    sum += v;
+    sq += v * v;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 3.5, 0.1);
+  // Var(X) = mean^2; the sample variance's standard error is ~0.08 here.
+  EXPECT_NEAR(sq / n - mean * mean, 3.5 * 3.5, 0.3);
 }
 
 TEST(AlignedBuffer, AlignmentAndZeroSize) {

@@ -25,6 +25,30 @@ Tensor random_grad(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
+/// out += decompress(payload) without materializing a temporary dense
+/// tensor for sparse payloads.  Works for any scheme.
+void accumulate_decompressed(const Compressor& comp,
+                             const CompressedGrad& payload,
+                             std::span<float> out) {
+  ASSERT_EQ(out.size(), payload.dense_size);
+  switch (payload.scheme) {
+    case CompressionScheme::kTopK:
+    case CompressionScheme::kRandomK:
+      for (std::size_t i = 0; i < payload.indices.size(); ++i) {
+        out[payload.indices[i]] += payload.values[i];
+      }
+      return;
+    case CompressionScheme::kDense:
+    case CompressionScheme::kQuant8: {
+      std::vector<float> tmp(out.size());
+      comp.decompress(payload, tmp);
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += tmp[i];
+      return;
+    }
+  }
+  FAIL() << "unknown compression scheme";
+}
+
 // --- TopK --------------------------------------------------------------------
 
 TEST(TopK, KeepsExactlyTheLargestMagnitudes) {

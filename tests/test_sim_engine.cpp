@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "common/batch_rng.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "sim/event_queue.h"
@@ -94,112 +93,104 @@ TEST(SimGolden, ReferenceEngineMatchesGoldens) {
   }
 }
 
-// --- event queue backends -----------------------------------------------------
+// --- event queue --------------------------------------------------------------
 
-// Pop order must be a total, backend-independent function of the pushes.
+/// Drives an EventQueue next to a reference model that keeps the pending
+/// pushes in push order.  Every pop must return the first element of their
+/// stable sort by time: the earliest time, ties in push order.
+class QueueChecker {
+ public:
+  void push(double time) {
+    queue_.push(time, EventKind::kFailure, next_id_);
+    pending_.push_back({time, next_id_++});
+    sorted_ = false;
+  }
+
+  /// Pops one event; false (with the failure recorded) on a mismatch.
+  bool pop_matches() {
+    if (!sorted_) {
+      std::stable_sort(pending_.begin(), pending_.end(),
+                       [](const Pushed& a, const Pushed& b) {
+                         return a.time < b.time;
+                       });
+      sorted_ = true;
+    }
+    const Event e = queue_.pop();
+    const Pushed want = pending_.front();
+    pending_.erase(pending_.begin());
+    last_time_ = e.time;
+    if (bits(e.time) != bits(want.time) || e.worker != want.id ||
+        e.seq != want.id) {
+      ADD_FAILURE() << "popped push #" << e.worker << " at t=" << e.time
+                    << ", expected push #" << want.id << " at t=" << want.time;
+      return false;
+    }
+    return true;
+  }
+
+  bool empty() const { return pending_.empty(); }
+  bool queue_empty() const { return queue_.empty(); }
+  double last_time() const { return last_time_; }
+
+ private:
+  struct Pushed {
+    double time;
+    std::uint32_t id;
+  };
+  EventQueue queue_;
+  std::vector<Pushed> pending_;
+  std::uint32_t next_id_ = 0;
+  bool sorted_ = true;
+  double last_time_ = 0.0;
+};
+
+/// Pushes one random schedule of 50-450 events and checks every pop:
+/// spread (exponential) or clustered (one unit-wide band) times, with an
+/// exact tie every 7th push.  Interleaved, it pops after about a third of
+/// the pushes, each push then landing after the last pop as in a
+/// hold-and-fire event loop.
+void check_random_schedule(Xoshiro256& rng, int round, bool interleaved) {
+  const bool clustered = round % 2 == 1;
+  const std::size_t n = 50 + 100 * static_cast<std::size_t>(round % 5);
+  QueueChecker q;
+  double last_push = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double t = (interleaved ? q.last_time() : 0.0) +
+               (clustered ? 1000.0 + rng.uniform_double()
+                          : rng.exponential(100.0));
+    if (i % 7 == 0 && i > 0) t = last_push;
+    q.push(t);
+    last_push = t;
+    if (interleaved && rng.uniform_below(3) == 0) {
+      ASSERT_TRUE(q.pop_matches()) << "round " << round << ", push " << i;
+    }
+  }
+  while (!q.empty()) ASSERT_TRUE(q.pop_matches()) << "round " << round;
+  EXPECT_TRUE(q.queue_empty());
+}
+
+// The suite is named for the backends EventQueue once had; both tests
+// check the one heap against the stable-sort model.
 TEST(EventQueueBackends, PopOrderEquivalentOnRandomSchedules) {
   Xoshiro256 rng(99);
-  for (int round = 0; round < 20; ++round) {
-    EventQueue cal(QueuePolicy::kCalendar);
-    EventQueue heap(QueuePolicy::kHeap);
-    const std::size_t n = 50 + 100 * static_cast<std::size_t>(round % 5);
-    std::vector<double> times(n);
-    // Mix of clustered and spread times, plus exact ties.
-    for (std::size_t i = 0; i < n; ++i) {
-      times[i] = round % 2 == 0 ? rng.exponential(100.0)
-                                : 1000.0 + rng.uniform_double();
-      if (i % 7 == 0 && i > 0) times[i] = times[i - 1];  // tie
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      cal.push(times[i], EventKind::kFailure, static_cast<std::uint32_t>(i));
-      heap.push(times[i], EventKind::kFailure, static_cast<std::uint32_t>(i));
-    }
-    double prev = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event a = cal.pop();
-      const Event b = heap.pop();
-      EXPECT_EQ(a.time, b.time);
-      EXPECT_EQ(a.worker, b.worker);
-      EXPECT_EQ(a.seq, b.seq);
-      EXPECT_GE(a.time, prev);
-      prev = a.time;
-    }
-    EXPECT_TRUE(cal.empty());
-    EXPECT_TRUE(heap.empty());
+  for (int round = 0; round < 10; ++round) {
+    check_random_schedule(rng, round, /*interleaved=*/false);
   }
+
+  // Two clusters 1e9 s apart, pushed alternately.
+  QueueChecker q;
+  for (int i = 0; i < 4000; ++i) {
+    q.push((i % 2 == 0 ? 0.0 : 1e9) + rng.uniform_double() * 1e-6);
+  }
+  while (!q.empty()) ASSERT_TRUE(q.pop_matches());
+  EXPECT_TRUE(q.queue_empty());
 }
 
 TEST(EventQueueBackends, InterleavedPushPopStaysSorted) {
-  // Hold-and-fire: the canonical DES access pattern.  The calendar's
-  // year-circular scan must keep returning a nondecreasing sequence even
-  // as new arrivals land ahead of the scan position.
-  EventQueue cal(QueuePolicy::kCalendar);
   Xoshiro256 rng(7);
-  cal.push(rng.exponential(10.0), EventKind::kFailure);
-  double prev = 0.0;
-  for (int i = 0; i < 5000; ++i) {
-    const Event e = cal.pop();
-    EXPECT_GE(e.time, prev);
-    prev = e.time;
-    cal.push(e.time + rng.exponential(10.0), EventKind::kFailure);
-    if (i % 3 == 0) {
-      cal.push(e.time + rng.uniform_double(), EventKind::kRecoveryDone);
-    }
+  for (int round = 0; round < 10; ++round) {
+    check_random_schedule(rng, round, /*interleaved=*/true);
   }
-}
-
-// Adversarially clustered times degrade the calendar; whether or not the
-// adaptive facade migrates to the heap, pop order must stay identical.
-TEST(EventQueueBackends, AdaptiveMatchesHeapOnDegenerateDistribution) {
-  EventQueue adaptive(QueuePolicy::kAdaptive);
-  EventQueue heap(QueuePolicy::kHeap);
-  Xoshiro256 rng(5);
-  // Two far-apart clusters force long empty-bucket scans.
-  std::vector<double> times;
-  for (int i = 0; i < 4000; ++i) {
-    const double t = (i % 2 == 0 ? 0.0 : 1e9) + rng.uniform_double() * 1e-6;
-    times.push_back(t);
-  }
-  for (double t : times) {
-    adaptive.push(t, EventKind::kFailure);
-    heap.push(t, EventKind::kFailure);
-  }
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const Event a = adaptive.pop();
-    const Event b = heap.pop();
-    ASSERT_EQ(a.seq, b.seq) << "diverged at pop " << i;
-  }
-}
-
-// Scenario results must not depend on the queue backend.
-TEST(EventQueueBackends, ScenarioResultsBackendIndependent) {
-  ClusterSpec cluster;
-  cluster.num_gpus = 256;
-  const Workload w = Workload::for_model("GPT2-S", cluster.gpu, 0.01);
-  StrategyConfig s;
-  s.kind = StrategyKind::kLowDiff;
-  s.full_interval = 20;
-  ScenarioConfig sc;
-  sc.train_work_sec = 2 * 3600.0;
-  sc.mtbf_sec = 1800.0;
-  sc.seed = 42;
-  sc.stragglers.onset_mtbf_sec = 600.0;
-  sc.correlated.burst_mtbf_sec = 3600.0;
-  sc.preemption.preempt_mtbf_sec = 2400.0;
-  sc.elastic.leave_mtbf_sec = 1200.0;
-
-  const FleetRunResult cal =
-      run_scenario(cluster, w, s, sc, nullptr, QueuePolicy::kCalendar);
-  const FleetRunResult heap =
-      run_scenario(cluster, w, s, sc, nullptr, QueuePolicy::kHeap);
-  const FleetRunResult adaptive =
-      run_scenario(cluster, w, s, sc, nullptr, QueuePolicy::kAdaptive);
-  EXPECT_EQ(bits(cal.base.wall_time), bits(heap.base.wall_time));
-  EXPECT_EQ(bits(cal.base.wasted_time), bits(heap.base.wasted_time));
-  EXPECT_EQ(cal.events, heap.events);
-  EXPECT_EQ(cal.rack_bursts, heap.rack_bursts);
-  EXPECT_EQ(cal.preemptions, heap.preemptions);
-  EXPECT_EQ(bits(adaptive.base.wall_time), bits(heap.base.wall_time));
 }
 
 // --- memoization --------------------------------------------------------------
@@ -386,53 +377,7 @@ TEST(FloydSampling, UniformMarginals) {
   }
 }
 
-// --- batched RNG --------------------------------------------------------------
-
-TEST(BatchRng, StreamEquivalentToScalarDraws) {
-  Xoshiro256 a(123), b(123);
-  double batch[64], scalar[64];
-  fill_exponential(a, 10.0, batch, 64);
-  for (double& v : scalar) v = b.exponential(10.0);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(bits(batch[i]), bits(scalar[i]));
-
-  fill_uniform(a, batch, 64);
-  for (double& v : scalar) v = b.uniform_double();
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(bits(batch[i]), bits(scalar[i]));
-
-  std::uint64_t bi[64], si[64];
-  fill_uniform_below(a, 17, bi, 64);
-  for (auto& v : si) v = b.uniform_below(17);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(bi[i], si[i]);
-}
-
-TEST(BatchRng, ExponentialMomentsMatchClosedForm) {
-  Xoshiro256 rng(55);
-  const std::size_t n = 200000;
-  std::vector<double> draws(n);
-  fill_exponential(rng, 42.0, draws.data(), n);
-  double sum = 0.0;
-  for (const double d : draws) sum += d;
-  const double mean = sum / static_cast<double>(n);
-  double var = 0.0;
-  for (const double d : draws) var += (d - mean) * (d - mean);
-  var /= static_cast<double>(n);
-  EXPECT_NEAR(mean, 42.0, 0.5);          // SE ~ 42/sqrt(n) ~ 0.094
-  EXPECT_NEAR(var, 42.0 * 42.0, 40.0);   // Var(X) = mean^2
-}
-
 // --- fleet failure processes: statistical validation --------------------------
-
-// FailureModel::fill must continue the historical stream exactly.
-TEST(FailureProcesses, FillMatchesScalarNext) {
-  FailureModel a(3600.0, 11, 0.5), b(3600.0, 11, 0.5);
-  FailureEvent block[32];
-  a.fill(block, 32);
-  for (int i = 0; i < 32; ++i) {
-    const FailureEvent ev = b.next();
-    EXPECT_EQ(bits(block[i].time), bits(ev.time));
-    EXPECT_EQ(block[i].type, ev.type);
-  }
-}
 
 struct AxisCounts {
   double horizon = 0.0;
@@ -543,6 +488,44 @@ TEST(FailureProcesses, StragglerSlowdownMomentsMatchClosedForm) {
 }
 
 // --- RepairModel cross-check --------------------------------------------------
+
+/// Empirical companion to RepairModel::concurrent_loss_probability: runs
+/// the aggregate failure/repair process (arrivals at num_servers/mtbf,
+/// exponential repairs) on the event queue for `horizon_sec` and returns
+/// the fraction of time at least `overlapping` servers were simultaneously
+/// inside a repair window.
+double measure_concurrent_downtime(std::size_t num_servers, double mtbf_sec,
+                                   double mean_repair_sec,
+                                   std::size_t overlapping, double horizon_sec,
+                                   std::uint64_t seed) {
+  LOWDIFF_ENSURE(num_servers > 0 && mtbf_sec > 0.0, "bad repair-race config");
+  // Aggregate M/G/inf view (matching RepairModel): failures arrive at rate
+  // num_servers / mtbf; each opens an exponential repair window.
+  const double agg_mean = mtbf_sec / static_cast<double>(num_servers);
+  Xoshiro256 rng(SplitMix64(seed ^ 0x5EED5ull).next());
+  EventQueue queue;
+  queue.push(rng.exponential(agg_mean), EventKind::kFailure);
+
+  double now = 0.0;
+  double time_at_or_above = 0.0;
+  std::size_t down = 0;
+  while (!queue.empty()) {
+    const Event e = queue.pop();
+    const double t = std::min(e.time, horizon_sec);
+    if (down >= overlapping) time_at_or_above += t - now;
+    now = t;
+    if (e.time >= horizon_sec) break;
+    if (e.kind == EventKind::kFailure) {
+      ++down;
+      queue.push(now + rng.exponential(mean_repair_sec),
+                 EventKind::kRecoveryDone);
+      queue.push(now + rng.exponential(agg_mean), EventKind::kFailure);
+    } else {
+      --down;
+    }
+  }
+  return horizon_sec > 0.0 ? time_at_or_above / horizon_sec : 0.0;
+}
 
 // The simulated fraction of time with >= m concurrent unrepaired failures
 // must track the analytic M/G/inf Poisson tail at fleet scale.
